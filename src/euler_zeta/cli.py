@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 import time
@@ -16,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Sequence, TextIO
 
 from . import verify as verification
-from .exactmath import PiPolynomial, _round_to_decimal, eval_pi_polynomial
+from .exactmath import PiPolynomial, _decimal_from_scaled, eval_pi_polynomial
 from .relations import relation_at
 from .zeta import Method, euler_zeta_coefficients
 
@@ -24,6 +25,8 @@ __all__ = [
     "OutputRecord",
     "CSV_HEADER",
     "METHOD_ORDER",
+    "MAX_S",
+    "MAX_DIGITS",
     "format_exact",
     "parse_exact",
     "build_parser",
@@ -40,6 +43,13 @@ METHOD_ORDER = [
 ]
 
 CSV_HEADER = ["s", "method", "numerator", "denominator", "pi_power", "decimal"]
+
+#: Largest --s / --s-max on any subcommand.  Table work grows like s**2
+#: operations on integers that lengthen with s, so the run time grows
+#: steeply past this.
+MAX_S = 512
+#: Largest --digits.
+MAX_DIGITS = 10000
 
 _ERRATUM_WARNING = (
     "warning: leeryoo-printed reproduces a constant with a known erratum "
@@ -75,8 +85,25 @@ def parse_exact(text: str) -> tuple[Fraction, int]:
 
 
 def _decimal_string(coeff: Fraction, s: int, digits: int) -> str:
-    enclosed = eval_pi_polynomial(PiPolynomial({s: coeff}), digits + 2)
-    return str(_round_to_decimal(Fraction(enclosed.value), digits))
+    """coeff * pi**(2s) correctly rounded to `digits` places.
+
+    Ziv's strategy: refine the enclosure until it holds no rounding boundary
+    (a half unit of 10**-digits), so every point in it, the true value
+    included, rounds to the same decimal.  The value is irrational for
+    coeff != 0 and s >= 1, so it never sits on a boundary and the loop ends;
+    coeff = 0 is enclosed exactly.
+    """
+    poly = PiPolynomial({s: coeff})
+    unit = 10**digits
+    precision = digits + 2
+    while True:
+        lo, hi = eval_pi_polynomial(poly, precision).bounds()
+        # Shifted by half a unit, the boundaries become the integers.
+        low, high = lo * unit + Fraction(1, 2), hi * unit + Fraction(1, 2)
+        nearest = math.floor(low)
+        if nearest == math.floor(high) and nearest != low:
+            return str(_decimal_from_scaled(nearest, digits))
+        precision *= 2
 
 
 def _record(s: int, method: Method, digits: int | None) -> OutputRecord:
@@ -136,7 +163,7 @@ def _emit_records(records: Sequence[OutputRecord], fmt: str, out: TextIO) -> Non
 # ---------------------------------------------------------------------------
 
 
-def _int_at_least(minimum: int) -> Callable[[str], int]:
+def _int_between(minimum: int, maximum: int | None = None) -> Callable[[str], int]:
     def convert(text: str) -> int:
         try:
             value = int(text)
@@ -144,12 +171,15 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 
     return convert
 
 
-_positive_int = _int_at_least(1)
+_positive_int = _int_between(1)
+_s_arg = _int_between(1, MAX_S)
 
 
 def _method_arg(text: str) -> Method:
@@ -264,11 +294,12 @@ def _add_format(parser: argparse.ArgumentParser, choices: tuple[str, ...] = ("pl
 def _add_digits(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--digits",
-        type=_positive_int,
+        type=_int_between(1, MAX_DIGITS),
         nargs="?",
         const=30,
         default=None,
-        help="include a decimal rendering (default 30 digits when the flag is bare)",
+        help="include a correctly rounded decimal rendering with this many places, "
+        f"at most {MAX_DIGITS} (default 30 when the flag is bare)",
     )
 
 
@@ -280,7 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     value = sub.add_parser("value", help="one value by a chosen method")
-    value.add_argument("--s", type=_positive_int, required=True, help="half the argument, s >= 1")
+    value.add_argument("--s", type=_s_arg, required=True,
+                       help=f"half the argument, 1 <= s <= {MAX_S}")
     value.add_argument("--method", type=_method_arg, default=Method.NEW_THEOREM,
                        help="one of: " + ", ".join(m.value for m in METHOD_ORDER))
     _add_format(value)
@@ -288,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     value.set_defaults(func=_cmd_value)
 
     table = sub.add_parser("table", help="rows for s = 1..s_max across methods")
-    table.add_argument("--s-max", dest="s_max", type=_positive_int, required=True)
+    table.add_argument("--s-max", dest="s_max", type=_s_arg, required=True,
+                       help=f"last row, 1 <= s_max <= {MAX_S}")
     table.add_argument("--methods", type=_method_list_arg, default=[Method.NEW_THEOREM],
                        help="comma-separated method names, or 'all'")
     _add_format(table)
@@ -296,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     table.set_defaults(func=_cmd_table)
 
     verify = sub.add_parser("verify", help="run every cross-check suite")
-    verify.add_argument("--s-max", dest="s_max", type=_int_at_least(2), required=True)
+    verify.add_argument("--s-max", dest="s_max", type=_int_between(2, MAX_S), required=True,
+                        help=f"largest s of the exact sweeps, 2 <= s_max <= {MAX_S}")
     verify.set_defaults(func=_cmd_verify)
 
     identities = sub.add_parser("identities", help="show the substitution relation for (m, x)")
@@ -306,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     identities.set_defaults(func=_cmd_identities)
 
     bench = sub.add_parser("bench", help="time full-table computation per method")
-    bench.add_argument("--s-max", dest="s_max", type=_int_at_least(2), required=True)
+    bench.add_argument("--s-max", dest="s_max", type=_int_between(2, MAX_S), required=True,
+                       help=f"table size, 2 <= s_max <= {MAX_S}")
     bench.add_argument("--repeats", type=_positive_int, default=3)
     _add_format(bench, choices=("plain", "csv"))
     bench.set_defaults(func=_cmd_bench)

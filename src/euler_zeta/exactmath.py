@@ -5,7 +5,8 @@ Every quantity in this library is one of three things: an exact rational
 finite sum of rational multiples of even powers of pi (`PiPolynomial`), or a
 decimal carrying an explicit absolute error bound (`DecimalApprox`).  Nothing
 here ever rounds silently; whenever a decimal is produced, the bound is a
-proven enclosure of the true value.
+proven enclosure of the true value.  On the way to a decimal, every value is
+carried as an outward-rounded integer pair in units of 10**-work.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import threading
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 __all__ = [
     "Rational",
@@ -150,11 +151,15 @@ def _pi_scaled(digits: int) -> tuple[int, int]:
         return value // drop, err // drop + 2
 
 
-def _pi_interval(digits: int) -> tuple[Fraction, Fraction]:
-    """Rational enclosure of pi of width at most a few units of 10**-digits."""
+def _pi_interval(digits: int) -> tuple[int, int]:
+    """pi enclosed in units of 10**-digits, a few units wide.
+
+    The error bound of a fresh computation at very few digits exceeds pi
+    itself; clipping to 3 < pi < 4 keeps the enclosure positive there.
+    """
     value, err = _pi_scaled(digits)
     scale = 10**digits
-    return Fraction(value - err, scale), Fraction(value + err, scale)
+    return max(value - err, 3 * scale), min(value + err, 4 * scale)
 
 
 def _decimal_from_scaled(value: int, shift: int) -> Decimal:
@@ -188,7 +193,7 @@ def pi_decimal(digits: int) -> DecimalApprox:
         raise ValueError("digits must be >= 1")
     lo, hi = _pi_interval(digits + 10)
     return DecimalApprox(
-        _round_to_decimal((lo + hi) / 2, digits),
+        _round_to_decimal(Fraction(lo + hi, 2 * 10 ** (digits + 10)), digits),
         _decimal_from_scaled(1, digits),
     )
 
@@ -298,50 +303,103 @@ class PiPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# enclosure evaluation
+# outward-rounded scaled-integer enclosures
 # ---------------------------------------------------------------------------
+#
+# An enclosure is an integer pair (lo, hi) in units of 10**-work: the true
+# value x satisfies lo <= x * 10**work <= hi.  Every product and quotient
+# floors lo and ceils hi, so the pair stays an enclosure however often the
+# intermediate results are rounded.
+
+
+def _ceil_div(n: int, d: int) -> int:
+    return -(-n // d)
+
+
+def _mul(a: tuple[int, int], b: tuple[int, int], scale: int) -> tuple[int, int]:
+    # Product of two enclosures in units of 1/scale, any signs.
+    products = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(products) // scale, _ceil_div(max(products), scale)
+
+
+def _scale_by(num: int, den: int, x: tuple[int, int]) -> tuple[int, int]:
+    # (num / den) * x for den > 0; a negative num swaps the endpoints.
+    lo, hi = x if num >= 0 else (x[1], x[0])
+    return num * lo // den, _ceil_div(num * hi, den)
+
+
+def _pi_sq_power(k: int, work: int) -> tuple[int, int]:
+    """pi**(2k) for any integer k, enclosed in units of 10**-work.
+
+    Repeated squaring of the pi**2 enclosure; a negative k takes one outward
+    reciprocal of the positive power at the end, which keeps its relative
+    error that of the positive power.
+    """
+    scale = 10**work
+    pi_lo, pi_hi = _pi_interval(work)
+    base = pi_lo * pi_lo // scale, _ceil_div(pi_hi * pi_hi, scale)
+    power = (scale, scale)
+    e = abs(k)
+    while e:
+        if e & 1:
+            power = _mul(power, base, scale)
+        e >>= 1
+        if e:
+            base = _mul(base, base, scale)
+    if k < 0:
+        square = scale * scale
+        power = square // power[1], _ceil_div(square, power[0])
+    return power
+
+
+def _enclose(
+    evaluate: Callable[[int], tuple[int, int]], digits: int, work: int
+) -> DecimalApprox:
+    """Decimal with a proven bound <= 10**-digits from a scaled enclosure.
+
+    `evaluate(work)` encloses the quantity in units of 10**-work; the working
+    precision doubles until the target bound is met.  The reported bound is
+    twice the achieved half-width plus conversion error, which makes
+    re-evaluation at higher precision land strictly inside the reported
+    interval.
+    """
+    target = Fraction(1, 10**digits)
+    quant = digits + 5
+    conv = Fraction(1, 2 * 10**quant)
+    while True:
+        lo, hi = evaluate(work)
+        scale = 10**work
+        half = Fraction(hi - lo, 2 * scale)
+        err = 2 * (half + conv)
+        if err <= target:
+            return DecimalApprox(
+                _round_to_decimal(Fraction(lo + hi, 2 * scale), quant),
+                _ceil_to_decimal(err, quant + 3),
+            )
+        work *= 2
 
 
 def eval_pi_polynomial(p: PiPolynomial, digits: int) -> DecimalApprox:
     """Evaluate sum_k c_k * pi**(2k) with a proven bound <= 10**-digits.
 
-    Interval arithmetic over exact rationals: pi enters as a rational
-    enclosure, powers keep outward endpoints, and the working precision
-    doubles until the target bound is met.  The reported bound is twice the
-    achieved half-width plus conversion error, which makes re-evaluation at
-    higher precision land strictly inside the reported interval.
+    Each term is an outward-rounded scaled-integer enclosure of pi**(2k)
+    multiplied by the exact rational c_k; see :func:`_enclose` for the
+    precision loop and the reported bound.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     if not p:
         return DecimalApprox(Decimal(0), Decimal(0))
-    target = Fraction(1, 10**digits)
-    quant = digits + 5
-    conv = Fraction(1, 2 * 10**quant)
-    work = digits + 12
-    while True:
-        pi_lo, pi_hi = _pi_interval(work)
-        sq_lo, sq_hi = pi_lo * pi_lo, pi_hi * pi_hi
-        lo = hi = Fraction(0)
+
+    def evaluate(work: int) -> tuple[int, int]:
+        lo = hi = 0
         for k, c in p._terms:
-            if k >= 0:
-                t_lo, t_hi = sq_lo**k, sq_hi**k
-            else:
-                t_lo, t_hi = 1 / sq_hi ** (-k), 1 / sq_lo ** (-k)
-            if c >= 0:
-                lo += c * t_lo
-                hi += c * t_hi
-            else:
-                lo += c * t_hi
-                hi += c * t_lo
-        half = (hi - lo) / 2
-        err = 2 * (half + conv)
-        if err <= target:
-            return DecimalApprox(
-                _round_to_decimal((lo + hi) / 2, quant),
-                _ceil_to_decimal(err, quant + 3),
-            )
-        work *= 2
+            t_lo, t_hi = _scale_by(c.numerator, c.denominator, _pi_sq_power(k, work))
+            lo += t_lo
+            hi += t_hi
+        return lo, hi
+
+    return _enclose(evaluate, digits, digits + 12)
 
 
 # ---------------------------------------------------------------------------
@@ -349,29 +407,37 @@ def eval_pi_polynomial(p: PiPolynomial, digits: int) -> DecimalApprox:
 # ---------------------------------------------------------------------------
 
 
-def _cos_series(x: Fraction, work: int) -> tuple[Fraction, Fraction]:
-    # Rational enclosure of cos(x) for 0 <= x < 1.6 via the Taylor series.
-    # Terms decrease strictly from the second one on, so the alternating
-    # tail bound (first omitted term) applies at every stopping point used.
-    eps = Fraction(1, 10**work)
-    x2 = x * x
-    total = Fraction(1)
-    term = Fraction(1)
+def _cos_series(x: int, scale: int) -> tuple[int, int]:
+    # Enclosure of cos(x / scale) for 0 <= x < 1.6 * scale via the Taylor
+    # series, in units of 1/scale.  Each term's bounds are the previous
+    # term's times the outward bounds of x**2.  Terms decrease strictly from
+    # the second one on, so the alternating tail bound (first omitted term)
+    # applies at every stopping point used.
+    x2_lo, x2_hi = x * x // scale, _ceil_div(x * x, scale)
+    lo = hi = t_lo = t_hi = scale
     j = 0
     while True:
         j += 1
-        term = term * x2 / ((2 * j - 1) * (2 * j))
-        total += -term if j & 1 else term
-        nxt = term * x2 / ((2 * j + 1) * (2 * j + 2))
-        if nxt < eps:
-            return max(total - nxt, Fraction(-1)), min(total + nxt, Fraction(1))
+        den = (2 * j - 1) * (2 * j) * scale
+        t_lo, t_hi = t_lo * x2_lo // den, _ceil_div(t_hi * x2_hi, den)
+        if j & 1:
+            lo, hi = lo - t_hi, hi - t_lo
+        else:
+            lo, hi = lo + t_lo, hi + t_hi
+        nxt = _ceil_div(t_hi * x2_hi, (2 * j + 1) * (2 * j + 2) * scale)
+        if nxt <= 1:
+            return max(lo - nxt, -scale), min(hi + nxt, scale)
 
 
-def _cos_pi_times(t: Fraction, work: int) -> tuple[Fraction, Fraction]:
-    """Enclosure of cos(pi * t) for rational t; exact whenever 2t is integral."""
+def _cos_pi_times(t: Fraction, work: int) -> tuple[int, int]:
+    """cos(pi * t) for rational t, enclosed in units of 10**-work.
+
+    Exact whenever 2t is integral.
+    """
+    scale = 10**work
     double = 2 * t
     if double.denominator == 1:
-        exact = Fraction((1, 0, -1, 0)[double.numerator % 4])
+        exact = (scale, 0, -scale, 0)[double.numerator % 4]
         return exact, exact
     r = t - 2 * math.floor(t / 2)  # into [0, 2)
     if r > 1:
@@ -381,6 +447,6 @@ def _cos_pi_times(t: Fraction, work: int) -> tuple[Fraction, Fraction]:
         return -hi, -lo
     pi_lo, pi_hi = _pi_interval(work)
     # cos is decreasing on [0, pi/2], so the endpoints swap.
-    lo, _ = _cos_series(r * pi_hi, work)
-    _, hi = _cos_series(r * pi_lo, work)
+    lo, _ = _cos_series(_ceil_div(r.numerator * pi_hi, r.denominator), scale)
+    _, hi = _cos_series(r.numerator * pi_lo // r.denominator, scale)
     return lo, hi

@@ -11,17 +11,17 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-
-import numpy as np
+from typing import Iterator
 
 from .exactmath import (
     DecimalApprox,
     PiPolynomial,
-    _ceil_to_decimal,
     _cos_pi_times,
     _decimal_from_scaled,
-    _pi_interval,
-    _round_to_decimal,
+    _enclose,
+    _mul,
+    _pi_sq_power,
+    _scale_by,
     falling_factorial,
 )
 
@@ -50,15 +50,20 @@ def fourier_coefficient(m: int, n: int) -> PiPolynomial:
         raise ValueError("m must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
+    return PiPolynomial(
+        {-k: Fraction(num, den) for k, num, den in _coefficient_terms(m, n)}
+    )
+
+
+def _coefficient_terms(m: int, n: int) -> Iterator[tuple[int, int, int]]:
+    # (k, numerator, denominator) of the pi**(-2k) terms of a_n, unreduced.
     sign_n = -1 if n % 2 else 1
     base = 2 ** (2 * m + 1) * sign_n
-    terms: dict[int, Fraction] = {}
     for k in range(1, m + 1):
         numerator = falling_factorial(2 * m, 2 * k - 1) * base
         if k % 2 == 0:
             numerator = -numerator
-        terms[-k] = Fraction(numerator, n ** (2 * k))
-    return PiPolynomial(terms)
+        yield k, numerator, n ** (2 * k)
 
 
 @dataclass(frozen=True)
@@ -100,6 +105,8 @@ def fourier_coefficient_numeric(
     tol_f = float(tol)
     if not tol_f > 0:
         raise ValueError("tol must be positive")
+    import numpy as np  # deferred: only this oracle needs it, and it slows every start
+
     omega = n * math.pi / 2
     power = 2 * m
 
@@ -157,51 +164,23 @@ def partial_sum(
     xq = Fraction(x)
     if abs(xq) > 2:
         raise ValueError("x must lie in [-2, 2]")
-    target = Fraction(1, 10**digits)
-    quant = digits + 5
-    conv = Fraction(1, 2 * 10**quant)
-    base = 2 ** (2 * m + 1)
-    work = digits + 10
-    while True:
+
+    def evaluate(work: int) -> tuple[int, int]:
         scale = 10**work
-        pi_lo, pi_hi = _pi_interval(work)
-        inv_lo, inv_hi = 1 / (pi_hi * pi_hi), 1 / (pi_lo * pi_lo)
-        powers: list[tuple[Fraction, Fraction]] = []
-        acc_lo, acc_hi = Fraction(1), Fraction(1)
-        for _ in range(m):
-            acc_lo, acc_hi = acc_lo * inv_lo, acc_hi * inv_hi
-            powers.append((acc_lo, acc_hi))
-        constant = Fraction(4**m, 2 * m + 1) * scale
-        lo_units = math.floor(constant)
-        hi_units = math.ceil(constant)
+        powers = [_pi_sq_power(-k, work) for k in range(1, m + 1)]
+        lo, hi = _scale_by(4**m, 2 * m + 1, (scale, scale))
         for n in range(1, N + 1):
-            cos_lo, cos_hi = _cos_pi_times(Fraction(n) * xq / 2, work)
-            if cos_lo == 0 == cos_hi:
+            cos = _cos_pi_times(Fraction(n * xq.numerator, 2 * xq.denominator), work)
+            if cos == (0, 0):
                 continue
-            sign_n = -1 if n % 2 else 1
-            a_lo = a_hi = Fraction(0)
-            for k in range(1, m + 1):
-                numerator = falling_factorial(2 * m, 2 * k - 1) * base * sign_n
-                if k % 2 == 0:
-                    numerator = -numerator
-                q = Fraction(numerator, n ** (2 * k))
-                t_lo, t_hi = powers[k - 1]
-                if q >= 0:
-                    a_lo += q * t_lo
-                    a_hi += q * t_hi
-                else:
-                    a_lo += q * t_hi
-                    a_hi += q * t_lo
-            products = (a_lo * cos_lo, a_lo * cos_hi, a_hi * cos_lo, a_hi * cos_hi)
-            lo_units += math.floor(min(products) * scale)
-            hi_units += math.ceil(max(products) * scale)
-        lo = Fraction(lo_units, scale)
-        hi = Fraction(hi_units, scale)
-        half = (hi - lo) / 2
-        err = 2 * (half + conv)
-        if err <= target:
-            return DecimalApprox(
-                _round_to_decimal((lo + hi) / 2, quant),
-                _ceil_to_decimal(err, quant + 3),
-            )
-        work *= 2
+            a_lo = a_hi = 0
+            for k, num, den in _coefficient_terms(m, n):
+                t_lo, t_hi = _scale_by(num, den, powers[k - 1])
+                a_lo += t_lo
+                a_hi += t_hi
+            p_lo, p_hi = _mul((a_lo, a_hi), cos, scale)
+            lo += p_lo
+            hi += p_hi
+        return lo, hi
+
+    return _enclose(evaluate, digits, digits + 10)

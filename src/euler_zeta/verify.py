@@ -1,7 +1,9 @@
 """Cross-check suites driven by the CLI `verify` subcommand.
 
-Each suite recomputes everything it needs from scratch (fresh tables, no
-shared caches), so any one of them is independently reproducible.
+Each suite builds its own coefficient tables (``fresh=True``), so no suite
+reads a table another suite left behind.  The suites do share the
+process-wide Bernoulli and pi memos: a suite that runs after another finds
+them filled and reuses those values instead of recomputing them.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ from fractions import Fraction
 
 from .exactmath import (
     PiPolynomial,
-    _pi_interval,
     bernoulli,
     bernoulli_akiyama_tanigawa,
     eval_pi_polynomial,
     factorial,
+    pi_decimal,
 )
 from .fourier import fourier_coefficient, fourier_coefficient_numeric, partial_sum
 from .relations import relation_at, solve_triangular
@@ -139,7 +141,8 @@ def _suite_fourier_quadrature() -> SuiteResult:
 
 
 def _suite_partial_sum_convergence() -> SuiteResult:
-    _, pi_hi = _pi_interval(20)
+    pi_approx = pi_decimal(20)
+    pi_hi = Fraction(pi_approx.value) + Fraction(pi_approx.abs_error_bound)
     ok = True
     for big_n in (100, 1000, 10000):
         allowance = Fraction(32) / (pi_hi * pi_hi * big_n)

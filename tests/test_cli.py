@@ -3,20 +3,24 @@ import io
 import json
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from euler_zeta import cli
 from euler_zeta import verify as verification
 from euler_zeta.cli import (
     CSV_HEADER,
     METHOD_ORDER,
     OutputRecord,
     _emit_records,
+    build_parser,
     format_exact,
     main,
     parse_exact,
 )
+from euler_zeta.exactmath import DecimalApprox
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +111,79 @@ class TestValue:
         assert usage_error_code("value", "--s", "2", "--method", "unknown") == 2
         assert usage_error_code("value", "--s", "2", "--digits", "0") == 2
         assert usage_error_code("value", "--s", "2", "--format", "xml") == 2
+
+
+class TestCorrectRounding:
+    def test_refines_an_enclosure_that_straddles_a_tie(self, capsys, monkeypatch):
+        # 7/720 pi^4 = 0.947032829 4972..., 2.8e-12 below the tie 0.9470328295
+        # between its 9-place neighbours.  An enclosure centred on the tie with
+        # bound 1e-11 is proven, yet rounding its centre picks ...830.
+        real = cli.eval_pi_polynomial
+        calls = []
+
+        def straddling(poly, digits):
+            calls.append(digits)
+            if len(calls) == 1:
+                return DecimalApprox(Decimal("0.9470328295"), Decimal(1).scaleb(-digits))
+            return real(poly, digits)
+
+        monkeypatch.setattr(cli, "eval_pi_polynomial", straddling)
+        code, out, _ = run_cli(
+            capsys, "value", "--s", "2", "--method", "closed-form", "--digits", "9"
+        )
+        assert code == 0
+        assert out == "zeta_E(4) = 7/720 * pi^4 ~= 0.947032829\n"
+        assert len(calls) >= 2
+
+    def test_closed_form_table_matches_mpmath(self, capsys):
+        mpmath = pytest.importorskip("mpmath")
+        code, out, _ = run_cli(
+            capsys, "table", "--methods", "closed-form", "--s-max", "200",
+            "--digits", "50", "--format", "csv",
+        )
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert [int(row[0]) for row in rows] == list(range(1, 201))
+        half = mpmath.mpf(1) / 2
+        with mpmath.workdps(100):
+            for row in rows:
+                value = mpmath.mpf(int(row[2])) / int(row[3]) * mpmath.pi ** int(row[4])
+                scaled = value * mpmath.mpf(10) ** 50
+                nearest = mpmath.floor(scaled + half)
+                # 100 digits decide every rounding unless a value sits this
+                # close to a tie, which would make the oracle itself unsure.
+                assert abs(scaled - nearest) < half - mpmath.mpf(10) ** -30
+                assert len(row[5].split(".")[1]) == 50
+                assert Decimal(row[5]) == Decimal(f"{int(nearest)}E-50")
+
+
+class TestInputLimits:
+    def test_rejected_above_the_limits(self):
+        assert usage_error_code("value", "--s", "513", "--method", "closed-form") == 2
+        assert usage_error_code("table", "--s-max", "513") == 2
+        assert usage_error_code("verify", "--s-max", "513") == 2
+        assert usage_error_code("bench", "--s-max", "513") == 2
+        assert usage_error_code("value", "--s", "2", "--digits", "10001") == 2
+        assert usage_error_code("table", "--s-max", "2", "--digits", "10001") == 2
+
+    def test_limits_are_inclusive(self):
+        # Parsing only: computing s = 512 takes longer than the whole suite.
+        parser = build_parser()
+        args = parser.parse_args(
+            ["value", "--s", "512", "--method", "closed-form", "--digits", "10000"]
+        )
+        assert (args.s, args.digits) == (512, 10000)
+        for command in ("table", "verify", "bench"):
+            assert parser.parse_args([command, "--s-max", "512"]).s_max == 512
+
+    @pytest.mark.parametrize("command", ["value", "table", "verify", "bench"])
+    def test_help_names_the_limits(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "<= 512" in out
+        if command in ("value", "table"):
+            assert "at most 10000" in out
 
 
 class TestTable:
@@ -280,6 +357,15 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout == "zeta_E(2) = 1/12 * pi^2\n"
+
+    def test_import_leaves_numpy_unloaded(self):
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, euler_zeta.cli; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0
+        assert result.stdout == "False\n"
 
     def test_module_invocation_usage_error(self):
         result = subprocess.run(
