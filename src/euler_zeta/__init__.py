@@ -19,7 +19,6 @@ from .exactmath import (
     pi_decimal,
 )
 from .fourier import (
-    FourierExpansion,
     QuadratureBudgetExceeded,
     fourier_coefficient,
     fourier_coefficient_numeric,
@@ -55,7 +54,6 @@ __all__ = [
     "DegenerateSystem",
     "EulerZetaValue",
     "Family",
-    "FourierExpansion",
     "LinearRelation",
     "Method",
     "PiPolynomial",

@@ -44,9 +44,10 @@ METHOD_ORDER = [
 
 CSV_HEADER = ["s", "method", "numerator", "denominator", "pi_power", "decimal"]
 
-#: Largest --s / --s-max on any subcommand.  Table work grows like s**2
-#: operations on integers that lengthen with s, so the run time grows
-#: steeply past this.
+#: Largest --s / --s-max / --m on any subcommand.  Table work grows like
+#: s**2 operations on integers that lengthen with s, so the run time grows
+#: steeply past this; well before m = 1000 an identity's integers also exceed
+#: Python's int-to-str digit limit.
 MAX_S = 512
 #: Largest --digits.
 MAX_DIGITS = 10000
@@ -334,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=_cmd_verify)
 
     identities = sub.add_parser("identities", help="show the substitution relation for (m, x)")
-    identities.add_argument("--m", type=_positive_int, required=True)
+    identities.add_argument("--m", type=_s_arg, required=True,
+                            help=f"power of t^(2m), 1 <= m <= {MAX_S}")
     identities.add_argument("--x", type=int, choices=[0, 1, 2], required=True)
     _add_format(identities)
     identities.set_defaults(func=_cmd_identities)

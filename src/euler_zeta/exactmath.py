@@ -100,7 +100,7 @@ def bernoulli_akiyama_tanigawa(n: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# pi as a scaled integer with tracked error
+# pi as an enclosure of scaled integers
 # ---------------------------------------------------------------------------
 
 
@@ -125,41 +125,32 @@ def _arctan_recip_scaled(x: int, scale: int) -> tuple[int, int]:
 
 
 _pi_lock = threading.Lock()
-_pi_best: tuple[int, int, int] = (0, 3, 1)  # (digits, scaled value, error units)
-
-
-def _pi_scaled(digits: int) -> tuple[int, int]:
-    """pi * 10**digits as an integer, with its error in last-place units.
-
-    Machin's identity pi = 16 arctan(1/5) - 4 arctan(1/239) in scaled
-    integer arithmetic.  The largest computation is cached; smaller requests
-    are served by truncation (which costs at most 2 extra units).
-    """
-    global _pi_best
-    with _pi_lock:
-        have, value, err = _pi_best
-        if have < digits:
-            scale = 10**digits
-            a5, e5 = _arctan_recip_scaled(5, scale)
-            a239, e239 = _arctan_recip_scaled(239, scale)
-            value, err = 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
-            _pi_best = (digits, value, err)
-            return value, err
-        if have == digits:
-            return value, err
-        drop = 10 ** (have - digits)
-        return value // drop, err // drop + 2
+_pi_best: tuple[int, int, int] = (0, 3, 4)  # (digits, lo, hi), most precise so far
 
 
 def _pi_interval(digits: int) -> tuple[int, int]:
     """pi enclosed in units of 10**-digits, a few units wide.
 
-    The error bound of a fresh computation at very few digits exceeds pi
-    itself; clipping to 3 < pi < 4 keeps the enclosure positive there.
+    Machin's identity pi = 16 arctan(1/5) - 4 arctan(1/239) in scaled
+    integer arithmetic, widened by the series' error in last-place units.
+    The most precise enclosure is cached; a request for fewer digits floors
+    its lo and ceils its hi, which keeps it an enclosure.  The error bound
+    of a fresh computation at very few digits exceeds pi itself; clipping to
+    3 < pi < 4 keeps the enclosure positive there.
     """
-    value, err = _pi_scaled(digits)
-    scale = 10**digits
-    return max(value - err, 3 * scale), min(value + err, 4 * scale)
+    global _pi_best
+    with _pi_lock:
+        have, lo, hi = _pi_best
+        if have < digits:
+            scale = 10**digits
+            a5, e5 = _arctan_recip_scaled(5, scale)
+            a239, e239 = _arctan_recip_scaled(239, scale)
+            value, err = 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
+            have = digits
+            lo, hi = max(value - err, 3 * scale), min(value + err, 4 * scale)
+            _pi_best = (have, lo, hi)
+    drop = 10 ** (have - digits)
+    return lo // drop, _ceil_div(hi, drop)
 
 
 def _decimal_from_scaled(value: int, shift: int) -> Decimal:

@@ -8,7 +8,6 @@ Simpson quadrature, enclosed partial sums) exist to validate it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from typing import Iterator
@@ -26,7 +25,6 @@ from .exactmath import (
 )
 
 __all__ = [
-    "FourierExpansion",
     "QuadratureBudgetExceeded",
     "fourier_coefficient",
     "fourier_coefficient_numeric",
@@ -64,29 +62,6 @@ def _coefficient_terms(m: int, n: int) -> Iterator[tuple[int, int, int]]:
         if k % 2 == 0:
             numerator = -numerator
         yield k, numerator, n ** (2 * k)
-
-
-@dataclass(frozen=True)
-class FourierExpansion:
-    """x**(2m) = 4**m/(2m+1) + sum_{n>=1} a_n cos(n pi x / 2) on (-2, 2)."""
-
-    m: int
-    half_width: int = 2
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if self.half_width != 2:
-            # Other intervals change which zeta family the substitution
-            # identities land in; they are deliberately unsupported.
-            raise ValueError("only the interval (-2, 2) is supported")
-
-    @property
-    def constant_term(self) -> Fraction:
-        return Fraction(4**self.m, 2 * self.m + 1)
-
-    def coefficient(self, n: int) -> PiPolynomial:
-        return fourier_coefficient(self.m, n)
 
 
 def fourier_coefficient_numeric(

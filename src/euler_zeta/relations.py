@@ -55,7 +55,8 @@ class LinearRelation:
             if isinstance(coefficients, Mapping)
             else coefficients
         )
-        cleaned = sorted((int(k), Fraction(q)) for k, q in items if Fraction(q))
+        exact = ((int(k), Fraction(q)) for k, q in items)
+        cleaned = sorted((k, q) for k, q in exact if q)
         if not cleaned:
             raise ValueError("a relation needs at least one nonzero coefficient")
         if any(k < 1 for k, _ in cleaned):
@@ -114,7 +115,7 @@ def relation_at(m: int, x: int) -> LinearRelation:
         raise ValueError("m must be >= 1")
     if x == 0:
         coeffs = {
-            k: Fraction((-1) ** k * falling_factorial(2 * m, 2 * k - 1))
+            k: (-1) ** k * falling_factorial(2 * m, 2 * k - 1)
             for k in range(1, m + 1)
         }
         return LinearRelation(Family.EULER_ZETA, coeffs, Fraction(-1, 2 * (2 * m + 1)))
@@ -127,7 +128,7 @@ def relation_at(m: int, x: int) -> LinearRelation:
         return LinearRelation(Family.EULER_ZETA, coeffs, rhs)
     if x == 2:
         coeffs = {
-            k: Fraction((-1) ** (k + 1) * falling_factorial(2 * m, 2 * k - 1))
+            k: (-1) ** (k + 1) * falling_factorial(2 * m, 2 * k - 1)
             for k in range(1, m + 1)
         }
         return LinearRelation(Family.ORDINARY_ZETA, coeffs, Fraction(m, 2 * m + 1))

@@ -38,6 +38,7 @@ from .exactmath import (
     factorial,
     falling_factorial,
 )
+from .relations import relation_at
 
 __all__ = [
     "Method",
@@ -124,32 +125,27 @@ def euler_zeta_closed_form(s: int) -> EulerZetaValue:
 # ---------------------------------------------------------------------------
 
 
+def _identity_lhs(s: int, x: int) -> Fraction:
+    # The left side of relation_at(s, x) evaluated at closed-form c_1 .. c_s.
+    if s < 1:
+        raise ValueError("s must be >= 1")
+    relation = relation_at(s, x)
+    table = euler_zeta_coefficients(s, Method.CLOSED_FORM, fresh=True)
+    return relation.residual(table) + relation.rhs
+
+
 def sum_identity_x0_lhs(s: int) -> Fraction:
     """sum_{k=1}^{s} (-1)**k P(2s, 2k-1) c_k with closed-form c_k.
 
     Contract: equals -1 / (2 (2s+1)) for every s >= 1 (the x=0 substitution
     identity).
     """
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    acc = Fraction(0)
-    for k in range(1, s + 1):
-        c_k = euler_zeta_closed_form(k).coeff
-        term = falling_factorial(2 * s, 2 * k - 1) * c_k
-        acc += -term if k % 2 else term
-    return acc
+    return _identity_lhs(s, 0)
 
 
 def sum_identity_x1_lhs(s: int) -> Fraction:
     """sum_{k=1}^{s} (-1)**k P(2s, 2k-1) 4**-k c_k with closed-form c_k."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    acc = Fraction(0)
-    for k in range(1, s + 1):
-        c_k = euler_zeta_closed_form(k).coeff
-        term = Fraction(falling_factorial(2 * s, 2 * k - 1), 4**k) * c_k
-        acc += -term if k % 2 else term
-    return acc
+    return _identity_lhs(s, 1)
 
 
 def sum_identity_x1_rhs(s: int) -> Fraction:
@@ -197,7 +193,11 @@ def leeryoo_constant(s: int, variant: str = "derived") -> Fraction:
 
 
 def _next_coefficient(method: Method, s: int, prior: list[Fraction]) -> Fraction:
-    # prior holds c_1 .. c_{s-1}; s >= 2.
+    # prior holds c_1 .. c_{s-1}.
+    if method is Method.CLOSED_FORM:
+        return euler_zeta_closed_form(s).coeff
+    if s == 1:
+        return Fraction(1, 12)  # the recurrences are stated for s >= 2
     sign = -1 if s % 2 else 1
     if method is Method.NEW_THEOREM:
         acc = Fraction(1, (2 * s - 1) * (2 * s + 1))
@@ -225,18 +225,17 @@ def _next_coefficient(method: Method, s: int, prior: list[Fraction]) -> Fraction
     return Fraction(sign * 4**s, factorial(2 * s)) * acc
 
 
-def _compute_table(method: Method, s_max: int) -> list[Fraction]:
-    # Fresh forward pass with no shared state; the benchmark path.
-    if method is Method.CLOSED_FORM:
-        return [euler_zeta_closed_form(s).coeff for s in range(1, s_max + 1)]
-    table = [Fraction(1, 12)]  # the recurrences are stated for s >= 2
-    for s in range(2, s_max + 1):
+def _extend(method: Method, table: list[Fraction], s_max: int) -> list[Fraction]:
+    # Appends c_{len(table)+1} .. c_{s_max} to table in place.
+    for s in range(len(table) + 1, s_max + 1):
         table.append(_next_coefficient(method, s, table))
     return table
 
 
-_coeff_lock = threading.Lock()
-_coeff_cache: dict[Method, list[Fraction]] = {}
+# One table and one lock per method, so a long pass for one method never
+# blocks a request for another.
+_coeff_locks = {method: threading.Lock() for method in Method}
+_coeff_cache: dict[Method, list[Fraction]] = {method: [] for method in Method}
 
 
 def euler_zeta_coefficients(
@@ -252,26 +251,16 @@ def euler_zeta_coefficients(
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
     if fresh:
-        return _compute_table(method, s_max)
-    with _coeff_lock:
-        cache = _coeff_cache.setdefault(method, [])
-        if len(cache) < s_max:
-            if method is Method.CLOSED_FORM:
-                for s in range(len(cache) + 1, s_max + 1):
-                    cache.append(euler_zeta_closed_form(s).coeff)
-            else:
-                if not cache:
-                    cache.append(Fraction(1, 12))
-                for s in range(len(cache) + 1, s_max + 1):
-                    cache.append(_next_coefficient(method, s, cache))
-        return cache[:s_max]
+        return _extend(method, [], s_max)
+    with _coeff_locks[method]:
+        return _extend(method, _coeff_cache[method], s_max)[:s_max]
 
 
 def euler_zeta(s: int, method: Method = Method.NEW_THEOREM) -> EulerZetaValue:
     """zeta_E(2s) as an exact coefficient of pi**(2s), by the chosen method.
 
-    s = 1 short-circuits to 1/12 for every method; the recurrences are
-    only stated from s = 2 on and take that base value as given.
+    The recurrences are only stated from s = 2 on and take c_1 = 1/12 as
+    their base; the closed form computes c_1 like every other coefficient.
     """
     if s < 1:
         raise ValueError("s must be >= 1")

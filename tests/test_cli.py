@@ -163,6 +163,7 @@ class TestInputLimits:
         assert usage_error_code("table", "--s-max", "513") == 2
         assert usage_error_code("verify", "--s-max", "513") == 2
         assert usage_error_code("bench", "--s-max", "513") == 2
+        assert usage_error_code("identities", "--m", "513", "--x", "1") == 2
         assert usage_error_code("value", "--s", "2", "--digits", "10001") == 2
         assert usage_error_code("table", "--s-max", "2", "--digits", "10001") == 2
 
@@ -175,8 +176,9 @@ class TestInputLimits:
         assert (args.s, args.digits) == (512, 10000)
         for command in ("table", "verify", "bench"):
             assert parser.parse_args([command, "--s-max", "512"]).s_max == 512
+        assert parser.parse_args(["identities", "--m", "512", "--x", "1"]).m == 512
 
-    @pytest.mark.parametrize("command", ["value", "table", "verify", "bench"])
+    @pytest.mark.parametrize("command", ["value", "table", "verify", "bench", "identities"])
     def test_help_names_the_limits(self, capsys, command):
         with pytest.raises(SystemExit):
             main([command, "--help"])

@@ -16,9 +16,11 @@ mpmath = pytest.importorskip("mpmath")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from euler_zeta import exactmath
 from euler_zeta.exactmath import (
     PiPolynomial,
     _cos_pi_times,
+    _pi_interval,
     _pi_sq_power,
     eval_pi_polynomial,
 )
@@ -79,3 +81,15 @@ def test_cos_pi_times_contains_the_cosine(t, work):
         value = mpmath.cos(mpmath.pi * _mpf(t))
         tol = mpmath.mpf(10) ** -(work + 20)
         assert mpmath.mpf(lo) / scale - tol <= value <= mpmath.mpf(hi) / scale + tol
+
+
+def test_pi_interval_truncated_from_a_wider_fill_contains_pi():
+    _pi_interval(200)  # later requests are cut down from this fill
+    assert exactmath._pi_best[0] >= 200
+    for digits in range(1, 61):
+        lo, hi = _pi_interval(digits)
+        scale = 10**digits
+        assert 3 * scale <= lo <= hi <= 4 * scale
+        with mpmath.workdps(digits + 30):
+            scaled = mpmath.pi * mpmath.mpf(10) ** digits
+            assert lo <= scaled <= hi

@@ -6,7 +6,6 @@ import pytest
 
 from euler_zeta.exactmath import PiPolynomial, eval_pi_polynomial, pi_decimal
 from euler_zeta.fourier import (
-    FourierExpansion,
     QuadratureBudgetExceeded,
     fourier_coefficient,
     fourier_coefficient_numeric,
@@ -66,23 +65,6 @@ class TestExactCoefficients:
             fourier_coefficient(0, 1)
         with pytest.raises(ValueError):
             fourier_coefficient(1, 0)
-
-
-class TestExpansion:
-    def test_constant_term(self):
-        assert FourierExpansion(1).constant_term == Fraction(4, 3)
-        assert FourierExpansion(2).constant_term == Fraction(16, 5)
-
-    def test_coefficient_delegates(self):
-        assert FourierExpansion(2).coefficient(1) == fourier_coefficient(2, 1)
-
-    def test_other_intervals_rejected(self):
-        with pytest.raises(ValueError):
-            FourierExpansion(1, half_width=1)
-
-    def test_m_domain(self):
-        with pytest.raises(ValueError):
-            FourierExpansion(0)
 
 
 class TestQuadrature:

@@ -1,8 +1,10 @@
+import threading
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from euler_zeta import zeta
 from euler_zeta.zeta import (
     AGREEING_METHODS,
     RECURRENCE_METHODS,
@@ -79,6 +81,21 @@ class TestRecurrences:
             assert euler_zeta_coefficients(12, method, fresh=True) == (
                 euler_zeta_coefficients(12, method)
             )
+
+    def test_methods_do_not_share_a_lock(self):
+        # A pass for one method must not hold up a request for another.
+        result = []
+        with zeta._coeff_locks[Method.NEW_THEOREM]:
+            worker = threading.Thread(
+                target=lambda: result.append(
+                    euler_zeta_coefficients(3, Method.CLOSED_FORM)
+                ),
+                daemon=True,
+            )
+            worker.start()
+            worker.join(timeout=5)
+            assert not worker.is_alive()
+        assert result == [[Fraction(1, 12), Fraction(7, 720), Fraction(31, 30240)]]
 
     def test_domain(self):
         with pytest.raises(ValueError):
