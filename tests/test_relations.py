@@ -9,12 +9,6 @@ from euler_zeta.relations import (
     relation_at,
     solve_triangular,
 )
-from euler_zeta.zeta import (
-    Method,
-    euler_zeta_closed_form,
-    euler_zeta_coefficients,
-    zeta_even_closed_form,
-)
 
 
 class TestRelationAt:
@@ -42,14 +36,6 @@ class TestRelationAt:
                 rel = relation_at(m, x)
                 assert rel.order == m
                 assert rel.coefficients[m] != 0
-
-    def test_closed_forms_balance_every_relation(self):
-        euler = [euler_zeta_closed_form(k).coeff for k in range(1, 17)]
-        ordinary = [zeta_even_closed_form(k) for k in range(1, 17)]
-        for x in (0, 1, 2):
-            values = ordinary if x == 2 else euler
-            for m in range(1, 17):
-                assert relation_at(m, x).residual(values) == 0
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -105,17 +91,6 @@ class TestSolveTriangular:
 
     def test_x1_single_unknown(self):
         assert solve_triangular([relation_at(1, 1)]) == [Fraction(1, 12)]
-
-    def test_all_substitutions_reproduce_closed_forms(self):
-        euler = [euler_zeta_closed_form(k).coeff for k in range(1, 17)]
-        ordinary = [zeta_even_closed_form(k) for k in range(1, 17)]
-        for x in (0, 1):
-            assert solve_triangular([relation_at(m, x) for m in range(1, 17)]) == euler
-        assert solve_triangular([relation_at(m, 2) for m in range(1, 17)]) == ordinary
-
-    def test_x0_solve_is_the_recurrence(self):
-        solved = solve_triangular([relation_at(m, 0) for m in range(1, 17)])
-        assert solved == euler_zeta_coefficients(16, Method.NEW_THEOREM, fresh=True)
 
     def test_empty_input(self):
         assert solve_triangular([]) == []
