@@ -27,6 +27,8 @@ import enum
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import floordiv
 
 from .exactmath import (
     DecimalApprox,
@@ -289,13 +291,24 @@ def euler_zeta_series(s: int, terms: int) -> DecimalApprox:
     # decimal digit count via bit_length (avoids the int-to-str digit limit)
     work = tail_den.bit_length() * 30103 // 100000 + 14
     scale = 10**work
-    acc = 0
-    inexact = 0
-    for n in range(1, terms + 1):
-        q, r = divmod(scale, n**exponent)
-        acc += -q if n % 2 == 0 else q
-        if r:
-            inexact += 1
+
+    def floored_terms(start: int) -> int:
+        # sum of floor(scale / n**exponent) over every other n from start
+        ns = range(start, terms + 1, 2)
+        if s == 1:
+            # floor(floor(scale / n) / n) is the same floor; two divisions by
+            # an n below 2**30 (one CPython digit) beat one by n**2
+            return sum(map(floordiv, map(scale.__floordiv__, ns), ns))
+        return sum(map(scale.__floordiv__, map(pow, ns, repeat(exponent))))
+
+    acc = floored_terms(1) - floored_terms(2)
+    # n**exponent divides 10**work exactly when n = 2**a * 5**b with
+    # exponent * a <= work and exponent * b <= work; every other term floors.
+    top = work // exponent + 1
+    exact = sum(
+        1 for a in range(top) for b in range(top) if 2**a * 5**b <= terms
+    )
+    inexact = terms - exact
     bound = Fraction(1, tail_den) + Fraction(inexact, scale)
     return DecimalApprox(
         _decimal_from_scaled(acc, work), _ceil_to_decimal(bound, work)

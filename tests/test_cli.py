@@ -368,6 +368,20 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert result.stdout == "False\n"
 
+    def test_verify_leaves_numpy_unloaded(self):
+        script = (
+            "import sys\n"
+            "from euler_zeta.cli import main\n"
+            "status = main(['verify', '--s-max', '2'])\n"
+            "print('numpy' in sys.modules)\n"
+            "sys.exit(status)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert result.returncode == 0
+        assert result.stdout.splitlines()[-1] == "False"
+
     def test_module_invocation_usage_error(self):
         result = subprocess.run(
             [sys.executable, "-m", "euler_zeta", "value", "--s", "-3"],

@@ -4,9 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from euler_zeta.exactmath import PiPolynomial, eval_pi_polynomial, pi_decimal
+from euler_zeta import fourier
+from euler_zeta.exactmath import (
+    PiPolynomial,
+    _cos_pi_times,
+    _enclose,
+    _mul,
+    _pi_interval,
+    _pi_sq_power,
+    _scale_by,
+    eval_pi_polynomial,
+    pi_decimal,
+)
 from euler_zeta.fourier import (
     QuadratureBudgetExceeded,
+    _coefficient_terms,
     fourier_coefficient,
     fourier_coefficient_numeric,
     partial_sum,
@@ -17,6 +29,32 @@ MINUS_16_OVER_PI2 = Fraction(Decimal("-1.6211389382774043431"))
 FOUR_OVER_PI2 = Fraction(Decimal("0.40528473456935108577"))
 A1_M2 = Fraction(Decimal("-5.0848371346216653195"))  # -128/pi^2 + 768/pi^4
 TWO_TERM_AT_ZERO = Fraction(Decimal("-0.28780560494407100"))  # 4/3 - 16/pi^2
+
+
+def _reference_partial_sum(m, x, N, digits):
+    # One cosine enclosure and one set of a_n terms per n, the loop
+    # partial_sum must reproduce exactly.
+    xq = Fraction(x)
+
+    def evaluate(work):
+        scale = 10**work
+        powers = [_pi_sq_power(-k, work) for k in range(1, m + 1)]
+        lo, hi = _scale_by(4**m, 2 * m + 1, (scale, scale))
+        for n in range(1, N + 1):
+            cos = _cos_pi_times(Fraction(n * xq.numerator, 2 * xq.denominator), work)
+            if cos == (0, 0):
+                continue
+            a_lo = a_hi = 0
+            for k, num, den in _coefficient_terms(m, n):
+                t_lo, t_hi = _scale_by(num, den, powers[k - 1])
+                a_lo += t_lo
+                a_hi += t_hi
+            p_lo, p_hi = _mul((a_lo, a_hi), cos, scale)
+            lo += p_lo
+            hi += p_hi
+        return lo, hi
+
+    return _enclose(evaluate, digits, digits + 10)
 
 
 def _pi_upper() -> Fraction:
@@ -85,6 +123,21 @@ class TestQuadrature:
         with pytest.raises(QuadratureBudgetExceeded):
             fourier_coefficient_numeric(1, 1, 1e-18)
 
+    def test_halving_budget_exhaustion_raises(self, monkeypatch):
+        # 1e-18 above stops at the roundoff floor; 1e-9 is acceptable, so
+        # only the shortened budget can stop it.
+        monkeypatch.setattr(fourier, "_HALVING_BUDGET", 3)
+        with pytest.raises(QuadratureBudgetExceeded, match="within 3 halvings"):
+            fourier_coefficient_numeric(1, 1, 1e-9)
+
+    @pytest.mark.parametrize("m,tol", [(1, 1e-15), (10, 1e-10)])
+    def test_tol_below_roundoff_floor_raises_at_once(self, m, tol):
+        # 1e-15 < 64 eps, and 1e-10 < 64 eps * 2**21 (the endpoint values
+        # of x**20): neither tol can ever be accepted, so neither walks the
+        # halving budget.
+        with pytest.raises(QuadratureBudgetExceeded, match="roundoff floor"):
+            fourier_coefficient_numeric(m, 1, tol)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             fourier_coefficient_numeric(0, 1, 1e-6)
@@ -125,6 +178,19 @@ class TestPartialSum:
         coarse = partial_sum(2, 1, 50, 8)
         fine = partial_sum(2, 1, 50, 16)
         assert coarse.contains(Fraction(fine.value))
+
+    @pytest.mark.parametrize(
+        "x",
+        [0, 1, 2, -1, Fraction(1, 2), Fraction(1, 3), Fraction(-7, 5), Fraction(3, 4)],
+    )
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_equals_per_n_reference_loop(self, m, x):
+        # Both sides truncate one pi enclosure, wider than any work used here.
+        _pi_interval(400)
+        for N in (1, 7, 100, 1000):
+            for digits in (8, 12, 20):
+                expected = _reference_partial_sum(m, x, N, digits)
+                assert partial_sum(m, x, N, digits) == expected
 
     def test_domain(self):
         with pytest.raises(ValueError):

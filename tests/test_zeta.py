@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from euler_zeta import zeta
+from euler_zeta.exactmath import DecimalApprox, _ceil_to_decimal, _decimal_from_scaled
 from euler_zeta.zeta import (
     AGREEING_METHODS,
     RECURRENCE_METHODS,
@@ -27,6 +28,21 @@ from euler_zeta.zeta import (
 PARTIAL_SUM_S2_T10 = Fraction(7637983935923, 8065516032000)
 # pi^2/12 frozen from an independent high-precision computation.
 PI2_OVER_12 = Fraction(Decimal("0.8224670334241132182362075833230125946094"))
+
+
+def _reference_series(s, terms):
+    # One divmod per term, the loop euler_zeta_series must reproduce exactly.
+    exponent = 2 * s
+    tail_den = (terms + 1) ** exponent
+    work = tail_den.bit_length() * 30103 // 100000 + 14
+    scale = 10**work
+    acc = inexact = 0
+    for n in range(1, terms + 1):
+        q, r = divmod(scale, n**exponent)
+        acc += -q if n % 2 == 0 else q
+        inexact += r != 0
+    bound = Fraction(1, tail_den) + Fraction(inexact, scale)
+    return DecimalApprox(_decimal_from_scaled(acc, work), _ceil_to_decimal(bound, work))
 
 
 class TestClosedForms:
@@ -176,6 +192,13 @@ class TestSeries:
         limit = euler_zeta_closed_form(s).decimal(30)
         gap = abs(Fraction(series.value) - Fraction(limit.value))
         assert gap <= Fraction(series.abs_error_bound) + Fraction(limit.abs_error_bound)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 7, 13])
+    def test_equals_per_term_reference_loop(self, s):
+        # The term counts include n = 2**a * 5**b, whose n**(2s) can divide
+        # the working scale exactly.
+        for terms in (1, 2, 3, 4, 5, 8, 10, 16, 25, 99, 100, 1000, 4096, 10**4):
+            assert euler_zeta_series(s, terms) == _reference_series(s, terms)
 
     def test_domain(self):
         with pytest.raises(ValueError):
