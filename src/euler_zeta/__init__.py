@@ -9,7 +9,6 @@ triangular solves of the substitution-identity systems.
 from .exactmath import (
     DecimalApprox,
     PiPolynomial,
-    Rational,
     bernoulli,
     bernoulli_akiyama_tanigawa,
     binomial,
@@ -59,7 +58,6 @@ __all__ = [
     "PiPolynomial",
     "QuadratureBudgetExceeded",
     "RECURRENCE_METHODS",
-    "Rational",
     "bernoulli",
     "bernoulli_akiyama_tanigawa",
     "binomial",

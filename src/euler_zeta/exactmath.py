@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 __all__ = [
-    "Rational",
     "PiPolynomial",
     "DecimalApprox",
     "factorial",
@@ -30,10 +29,6 @@ __all__ = [
     "pi_decimal",
     "eval_pi_polynomial",
 ]
-
-# The universal exact scalar. Fraction already guarantees the invariants this
-# library relies on: reduced form, denominator > 0, zero stored as 0/1.
-Rational = Fraction
 
 
 def factorial(n: int) -> int:

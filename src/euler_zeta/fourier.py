@@ -1,18 +1,18 @@
 """Fourier cosine data for f(x) = x**(2m) on the fixed interval (-2, 2).
 
 The exact route writes each cosine coefficient a_n as a polynomial in
-pi**-2 with rational coefficients; the numeric routes (adaptive composite
-Simpson quadrature, enclosed partial sums) exist to validate it.
+pi**-2 with rational coefficients; the numeric routes (composite Boole
+quadrature with a proven a priori bound, enclosed partial sums) exist to
+validate it.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from decimal import Decimal
 from fractions import Fraction
-from itertools import repeat
-from operator import mul
+from itertools import count, repeat
+from operator import mul, truediv
 from typing import Iterator
 
 from .exactmath import (
@@ -22,6 +22,7 @@ from .exactmath import (
     _decimal_from_scaled,
     _enclose,
     _mul,
+    _pi_interval,
     _pi_sq_power,
     _scale_by,
     falling_factorial,
@@ -34,11 +35,12 @@ __all__ = [
     "partial_sum",
 ]
 
-_HALVING_BUDGET = 24
+_MAX_PANELS = 2**24  # input safety: the most panels one quadrature may evaluate
+_U = Fraction(1, 2**53)  # unit roundoff of a float
 
 
 class QuadratureBudgetExceeded(RuntimeError):
-    """Interval halving hit its budget before the error estimate met tol."""
+    """tol lies below the quadrature's roundoff floor or needs too many panels."""
 
 
 def fourier_coefficient(m: int, n: int) -> PiPolynomial:
@@ -72,68 +74,79 @@ def fourier_coefficient_numeric(
 ) -> DecimalApprox:
     """a_n by quadrature: (1/2) integral_{-2}^{2} x**(2m) cos(n pi x/2) dx.
 
-    Composite Simpson on a doubling panel count, accepting once the
-    Richardson estimate |S_j - S_{j-1}| / 15 falls below tol/2; the reported
-    bound is tol, an estimate rather than a proof.  Nodes are evaluated in
-    plain floats and each level's sum is taken with ``math.fsum``.
-    Exceeding the halving budget raises :class:`QuadratureBudgetExceeded`
-    rather than returning a silently inaccurate value; so does, as soon as
-    it is seen, a tol below the float roundoff floor (64 eps times the
-    largest magnitude met, at least 1), since such a bound could never
-    honestly be certified.
+    Composite Boole, evaluated once on the smallest panel count P (a
+    multiple of 4, width h = 4/P) whose proven error is at most tol, so the
+    reported bound tol is proven.  The error has two parts:
+
+    * truncation, 2 (b - a) h**6 M6 / 945 with b - a = 4 and M6 >= |f^(6)|
+      for f = x**p cos(w x) / 2, p = 2m, w = n pi / 2: by Leibniz on
+      |x| <= 2, M6 = (1/2) sum_j C(6, j) P(p, j) 2**(p-j) w**(6-j), in exact
+      rationals over an upper bound for pi;
+    * roundoff, with u = 2**-53, assuming libm's ``pow`` and ``cos`` are
+      within 1 ulp.  The node x = k/P is one rounding; w * x carries it,
+      the conversion of n, the product n * math.pi, the relative error rho
+      of math.pi (from an enclosure of pi) and its own rounding, so the
+      cosine is off by gamma = 2 w ((1 + u)**4 (1 + rho) - 1) + 2u (cos is
+      1-Lipschitz; 2u is its ulp).  x**p carries x's rounding p times and
+      pow's ulp, and the product with the cosine one rounding: theta =
+      (1 + u)**(p+1) (1 + 2u) - 1.  So each node value is off by at most
+      2**p (theta + (1 + theta) gamma), and the rule, whose weights sum to
+      4, by twice that with f's factor 1/2.  One ``math.fsum`` per weight
+      class adds 2u times the largest node value, the weight multiplies are
+      exact rationals, subnormal results add at most 2**-1071 in all, and
+      the decimal quantisation adds half a unit in its last place.
+
+    A tol whose roundoff alone reaches it, or that needs more than 2**24
+    panels, raises :class:`QuadratureBudgetExceeded` before any node is
+    evaluated.
     """
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
     tol_f = float(tol)
-    if not tol_f > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol_f < math.inf:
+        raise ValueError("tol must be positive and finite")
+    bound = Decimal(str(tol))
+    p = 2 * m
 
+    pi_lo, pi_hi = (Fraction(end, 10**20) for end in _pi_interval(20))
+    w_hi = n * pi_hi / 2
+    m6 = sum(
+        math.comb(6, j) * falling_factorial(p, j) * 2 ** (p - j) * w_hi ** (6 - j)
+        for j in range(min(p, 6) + 1)
+    ) / 2
+    rho = max(Fraction(math.pi) - pi_lo, pi_hi - Fraction(math.pi)) / pi_lo
+    gamma = 2 * w_hi * ((1 + _U) ** 4 * (1 + rho) - 1) + 2 * _U
+    theta = (1 + _U) ** (p + 1) * (1 + 2 * _U) - 1
+    node = 2**p * (theta + (1 + theta) * gamma)
+    quant = max(1, math.ceil(-math.log10(tol_f))) + 3
+    roundoff = 2 * node + 2 * _U * (2**p + node) + Fraction(1, 2**1071)
+    roundoff += Fraction(1, 2 * 10**quant)
+    room = Fraction(bound) - roundoff
+    if room <= 0:
+        floor = Decimal(roundoff.numerator) / roundoff.denominator
+        raise QuadratureBudgetExceeded(
+            f"tol={tol} is below the roundoff floor {floor:.3g} (m={m}, n={n})"
+        )
+    # P = 4q panels meet the truncation bound once q**6 >= target.
+    target = 8 * m6 / (945 * room)
+    if target > (_MAX_PANELS // 4) ** 6:
+        raise QuadratureBudgetExceeded(
+            f"tol={tol} needs more than {_MAX_PANELS} panels (m={m}, n={n})"
+        )
+    start = max(1, math.floor(float(target) ** (1 / 6)) - 1)
+    panels = 4 * next(q for q in count(start) if q**6 >= target)
+
+    # Nodes left of 0 only: f is even, the weights are symmetric and the
+    # node at 0 contributes f(0) = 0.  Boole's weights there are 7 on the
+    # first node, 32 on odd ones, 12 and 14 alternately on the other even ones.
     omega = n * math.pi / 2
-    power = 2 * m
-
-    def f_sum(xs: list[float]) -> float:
-        # sum of f(x) = 0.5 * x**power * cos(omega * x) over the nodes
-        cosines = map(math.cos, map(omega.__mul__, xs))
-        return 0.5 * math.fsum(map(mul, map(pow, xs, repeat(power)), cosines))
-
-    a, b = -2.0, 2.0
-    span = b - a
-    # The integrand completes n periods across the span; coarse grids alias
-    # them (integer nodes all see cos = +-1), so the convergence test is
-    # suppressed until every period carries at least 16 panels.
-    min_level = max(2, math.ceil(math.log2(16 * n)))
-    trap_prev = 0.5 * span * f_sum([a, b])
-    simpson_prev: float | None = None
-    scale = max(1.0, abs(trap_prev))
-    for level in range(1, _HALVING_BUDGET + 1):
-        step = span / 2**level
-        # The new midpoints are symmetric about 0 and f is even with
-        # f(0) = 0, so their sum is twice the sum over the negative half.
-        offsets = map(step.__mul__, range(1, 2 ** (level - 1), 2))
-        mids = list(map(a.__add__, offsets))
-        trap = 0.5 * trap_prev + step * 2.0 * f_sum(mids)
-        simpson = (4.0 * trap - trap_prev) / 3.0
-        scale = max(scale, abs(simpson))
-        # Below the roundoff floor the Richardson estimate is pure noise and
-        # may spuriously read as zero; never accept a bound there.  The floor
-        # never falls, so no later level could accept this tol either.
-        noise_floor = 64.0 * sys.float_info.epsilon * scale
-        if tol_f < noise_floor:
-            raise QuadratureBudgetExceeded(
-                f"tol={tol} is below the roundoff floor {noise_floor:.3g} (m={m}, n={n})"
-            )
-        if (
-            level >= min_level
-            and simpson_prev is not None
-            and abs(simpson - simpson_prev) < 7.5 * tol_f
-        ):
-            quant = max(1, math.ceil(-math.log10(tol_f))) + 3
-            value = _decimal_from_scaled(round(simpson * 10**quant), quant)
-            return DecimalApprox(value, Decimal(str(tol)))
-        trap_prev, simpson_prev = trap, simpson
-    raise QuadratureBudgetExceeded(
-        f"no convergence to tol={tol} within {_HALVING_BUDGET} halvings (m={m}, n={n})"
-    )
+    xs = list(map(truediv, range(-2 * panels, 0, 4), repeat(panels)))
+    cosines = map(math.cos, map(omega.__mul__, xs))
+    g = list(map(mul, map(pow, xs, repeat(p)), cosines))
+    groups = (g[:1], g[1::2], g[2::4], g[4::4])
+    total = sum(w * Fraction(math.fsum(s)) for w, s in zip((7, 32, 12, 14), groups))
+    value = total * 8 / (45 * panels)
+    return DecimalApprox(_decimal_from_scaled(round(value * 10**quant), quant), bound)
 
 
 def partial_sum(

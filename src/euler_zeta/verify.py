@@ -154,17 +154,17 @@ def _suite_bernoulli(s_max: int) -> SuiteResult:
 
 
 def _suite_fourier_quadrature() -> SuiteResult:
-    limit = Fraction(1, 10**9)
     ok = True
     for m in range(1, 4):
         for n in range(1, 9):
             exact = eval_pi_polynomial(fourier_coefficient(m, n), 12)
             numeric = fourier_coefficient_numeric(m, n, 1e-11)
             gap = abs(Fraction(exact.value) - Fraction(numeric.value))
+            limit = Fraction(exact.abs_error_bound) + Fraction(numeric.abs_error_bound)
             if gap > limit:
                 ok = False
     return SuiteResult(
-        "fourier-quadrature", ok, "exact vs Simpson within 1e-9 for m <= 3, n <= 8"
+        "fourier-quadrature", ok, "exact and Boole enclosures overlap for m <= 3, n <= 8"
     )
 
 

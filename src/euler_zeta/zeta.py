@@ -247,8 +247,9 @@ def euler_zeta_coefficients(
 
     Results are memoized per method (computing c_s caches every prefix
     coefficient), so a table request is a single forward pass.  ``fresh``
-    bypasses and does not touch the cache; benchmarks use it to time real
-    work.
+    bypasses and does not touch this table cache.  It is not fully cold: the
+    closed form still reads and fills the process-wide Bernoulli memo, so a
+    second fresh closed-form table skips the Bernoulli fill.
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")

@@ -53,7 +53,7 @@ def test_criterion_05_perm_diff_identity():
 
 
 def test_criterion_06_fourier_quadrature():
-    description = "exact coefficients agree with tol-1e-11 quadrature within 1e-9 (m<=3, n<=8)"
+    description = "exact and proven tol-1e-11 quadrature enclosures overlap (m<=3, n<=8)"
     _check(6, description, verify._suite_fourier_quadrature, budget=10.0)
 
 

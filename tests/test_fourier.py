@@ -1,10 +1,10 @@
 import math
+import time
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from euler_zeta import fourier
 from euler_zeta.exactmath import (
     PiPolynomial,
     _cos_pi_times,
@@ -123,26 +123,41 @@ class TestQuadrature:
         with pytest.raises(QuadratureBudgetExceeded):
             fourier_coefficient_numeric(1, 1, 1e-18)
 
-    def test_halving_budget_exhaustion_raises(self, monkeypatch):
-        # 1e-18 above stops at the roundoff floor; 1e-9 is acceptable, so
-        # only the shortened budget can stop it.
-        monkeypatch.setattr(fourier, "_HALVING_BUDGET", 3)
-        with pytest.raises(QuadratureBudgetExceeded, match="within 3 halvings"):
-            fourier_coefficient_numeric(1, 1, 1e-9)
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-11])
+    def test_encloses_exact_coefficient(self, tol):
+        for m in range(1, 4):
+            for n in range(1, 17):
+                approx = fourier_coefficient_numeric(m, n, tol)
+                assert Fraction(approx.abs_error_bound) == Fraction(Decimal(str(tol)))
+                lo, hi = eval_pi_polynomial(fourier_coefficient(m, n), 30).bounds()
+                assert approx.contains(lo) and approx.contains(hi), (m, n)
 
     @pytest.mark.parametrize("m,tol", [(1, 1e-15), (10, 1e-10)])
     def test_tol_below_roundoff_floor_raises_at_once(self, m, tol):
-        # 1e-15 < 64 eps, and 1e-10 < 64 eps * 2**21 (the endpoint values
-        # of x**20): neither tol can ever be accepted, so neither walks the
-        # halving budget.
+        # 1e-15 is below the roundoff of any node value, and 1e-10 below
+        # that of x**20, whose values reach 2**20.
         with pytest.raises(QuadratureBudgetExceeded, match="roundoff floor"):
             fourier_coefficient_numeric(m, 1, tol)
+
+    @pytest.mark.parametrize(
+        "tol,message", [(1e-9, "roundoff floor"), (1.0, "more than 16777216 panels")]
+    )
+    def test_huge_n_raises_before_any_node(self, monkeypatch, tol, message):
+        def no_nodes(x):
+            raise AssertionError("a node was evaluated")
+
+        monkeypatch.setattr(math, "cos", no_nodes)
+        start = time.perf_counter()
+        with pytest.raises(QuadratureBudgetExceeded, match=message):
+            fourier_coefficient_numeric(1, 10**9, tol)
+        assert time.perf_counter() - start < 0.5
 
     def test_domain(self):
         with pytest.raises(ValueError):
             fourier_coefficient_numeric(0, 1, 1e-6)
-        with pytest.raises(ValueError):
-            fourier_coefficient_numeric(1, 1, 0)
+        for tol in (0, float("inf"), "inf", "1e400", "nan"):
+            with pytest.raises(ValueError):
+                fourier_coefficient_numeric(1, 1, tol)
 
 
 class TestPartialSum:
