@@ -141,9 +141,14 @@ def _record_csv_row(record: OutputRecord) -> list[str]:
     ]
 
 
-def _emit_records(records: Sequence[OutputRecord], fmt: str, out: TextIO) -> None:
+def _emit_records(
+    records: OutputRecord | Sequence[OutputRecord], fmt: str, out: TextIO
+) -> None:
+    """Render records; in JSON one record is an object and a sequence an array."""
+    single = isinstance(records, OutputRecord)
+    rows = [records] if single else records
     if fmt == "plain":
-        for record in records:
+        for record in rows:
             line = f"zeta_E({2 * record.s}) = {record.exact}"
             if record.decimal is not None:
                 line += f" ~= {record.decimal}"
@@ -151,11 +156,11 @@ def _emit_records(records: Sequence[OutputRecord], fmt: str, out: TextIO) -> Non
     elif fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for record in records:
+        for record in rows:
             writer.writerow(_record_csv_row(record))
     else:
-        payload = [_record_json(record) for record in records]
-        json.dump(payload[0] if len(records) == 1 else payload, out, indent=2)
+        payload = _record_json(records) if single else [_record_json(r) for r in rows]
+        json.dump(payload, out, indent=2)
         out.write("\n")
 
 
@@ -205,7 +210,7 @@ def _method_list_arg(text: str) -> list[Method]:
 def _cmd_value(args: argparse.Namespace) -> int:
     if args.method is Method.LEERYOO_PRINTED:
         print(_ERRATUM_WARNING, file=sys.stderr)
-    _emit_records([_record(args.s, args.method, args.digits)], args.format, sys.stdout)
+    _emit_records(_record(args.s, args.method, args.digits), args.format, sys.stdout)
     return 0
 
 

@@ -43,6 +43,14 @@ class QuadratureBudgetExceeded(RuntimeError):
     """tol lies below the quadrature's roundoff floor or needs too many panels."""
 
 
+def _expansion_weights(m: int) -> list[int]:
+    # w_k = (-1)**(k+1) P(2m, 2k-1) for k = 1..m: the one statement of the
+    # expansion, a_n = 2**(2m+1) (-1)**n sum_k w_k / (n pi)**(2k).
+    return [
+        (-1) ** (k + 1) * falling_factorial(2 * m, 2 * k - 1) for k in range(1, m + 1)
+    ]
+
+
 def fourier_coefficient(m: int, n: int) -> PiPolynomial:
     """Cosine coefficient a_n of x**(2m) on (-2, 2), exact.
 
@@ -60,13 +68,9 @@ def fourier_coefficient(m: int, n: int) -> PiPolynomial:
 
 def _coefficient_terms(m: int, n: int) -> Iterator[tuple[int, int, int]]:
     # (k, numerator, denominator) of the pi**(-2k) terms of a_n, unreduced.
-    sign_n = -1 if n % 2 else 1
-    base = 2 ** (2 * m + 1) * sign_n
-    for k in range(1, m + 1):
-        numerator = falling_factorial(2 * m, 2 * k - 1) * base
-        if k % 2 == 0:
-            numerator = -numerator
-        yield k, numerator, n ** (2 * k)
+    base = 2 ** (2 * m + 1) * (-1 if n % 2 else 1)
+    for k, weight in enumerate(_expansion_weights(m), start=1):
+        yield k, weight * base, n ** (2 * k)
 
 
 def fourier_coefficient_numeric(
@@ -172,7 +176,7 @@ def partial_sum(
     # a_n's pi**(-2k) weights only through the parity of n.
     p, q = xq.numerator, xq.denominator
     period = 4 * q
-    even_weights = [num for _, num, _ in _coefficient_terms(m, 2)]
+    even_weights = [2 ** (2 * m + 1) * w for w in _expansion_weights(m)]
     weights = ([-w for w in even_weights], even_weights)
 
     def evaluate(work: int) -> tuple[int, int]:

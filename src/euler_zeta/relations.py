@@ -1,12 +1,30 @@
 """Linear relations among zeta coefficients from substituting x in {0, 1, 2}.
 
-Substituting a point into the cosine expansion of x**(2m) yields one exact
-linear equation over the unknowns v_k = zeta_E(2k)/pi**(2k) (for x = 0, 1)
-or v_k = zeta(2k)/pi**(2k) (for x = 2, the endpoint, where the series
-converges to the jump average 4**m and the alternating signs collapse).
-Ordered by m, the relations form a triangular system whose forward solve
-re-derives every coefficient; a single elimination step of that solve is
-exactly the recurrence step.
+On |x| <= 2 the cosine expansion of x**(2m) is
+
+    x**(2m) = 4**m/(2m+1) + sum_{n>=1} a_n cos(n pi x/2),
+    a_n = 2**(2m+1) (-1)**n sum_{k=1}^{m} w_k / (n pi)**(2k),
+
+with w_k = (-1)**(k+1) P(2m, 2k-1) (``fourier._expansion_weights``).  The
+even 4-periodic extension of x**(2m) is continuous, so the series equals
+x**(2m) at the endpoint x = 2 too.  Exchanging the sums leaves, for each k,
+the cosine sum C_k(x) = sum_n (-1)**n cos(n pi x/2) / n**(2k), and at the
+three points it collapses to one zeta value:
+
+* x = 0: C_k = -zeta_E(2k);
+* x = 1: odd n drop out and n = 2j re-alternates, C_k = -4**-k zeta_E(2k);
+* x = 2: cos(n pi) = (-1)**n cancels the sign, C_k = zeta(2k).
+
+Writing C_k = sigma q**k Z(2k), with sigma = -1, -1, +1 and q = 1, 1/4, 1,
+and v_k = Z(2k)/pi**(2k), and dividing by 2**(2m+1) gives one exact linear
+equation
+
+    sum_k sigma q**k w_k v_k = ((2m+1) x**(2m) - 4**m) / ((2m+1) 2**(2m+1))
+
+over the Euler family (x = 0, 1) or the ordinary family (x = 2).  Ordered by
+m, the relations form a triangular system whose forward solve re-derives
+every coefficient; a single elimination step of that solve is exactly the
+recurrence step.
 """
 
 from __future__ import annotations
@@ -15,7 +33,7 @@ import enum
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .exactmath import falling_factorial
+from .fourier import _expansion_weights
 
 __all__ = [
     "Family",
@@ -101,38 +119,39 @@ class LinearRelation:
         return f"LinearRelation[{self.family.value}] {body} = {self.rhs}"
 
 
+# x -> (family, sigma, whether q = 1/4) for C_k(x) = sigma q**k Z(2k).
+_SUBSTITUTIONS = {
+    0: (Family.EULER_ZETA, -1, False),
+    1: (Family.EULER_ZETA, -1, True),
+    2: (Family.ORDINARY_ZETA, 1, False),
+}
+
+
 def relation_at(m: int, x: int) -> LinearRelation:
     """The exact relation from substituting x into the expansion of t**(2m).
 
+    The expansion's weights w_k = (-1)**(k+1) P(2m, 2k-1) meet the collapsed
+    cosine sum C_k(x) = sigma q**k Z(2k) of the module docstring, and both
+    sides are divided by 2**(2m+1):
+
+        sum_k sigma q**k w_k v_k = ((2m+1) x**(2m) - 4**m) / ((2m+1) 2**(2m+1)).
+
     * x = 0: sum (-1)**k P(2m,2k-1) v_k = -1/(2(2m+1)), Euler family.
     * x = 1: sum (-1)**k P(2m,2k-1) 4**-k v_k = (2m+1-4**m)/((2m+1) 2**(2m+1)),
-      Euler family (odd n drop out, even n re-alternate).
-    * x = 2: sum (-1)**(k+1) P(2m,2k-1) v_k = m/(2m+1), ordinary family
-      (endpoint: the series converges to the jump average 4**m, and the
-      (-1)**n in a_n meets cos(n pi) to give plain 1/n**(2k) sums).
+      Euler family.
+    * x = 2: sum (-1)**(k+1) P(2m,2k-1) v_k = m/(2m+1), ordinary family.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if x == 0:
-        coeffs = {
-            k: (-1) ** k * falling_factorial(2 * m, 2 * k - 1)
-            for k in range(1, m + 1)
-        }
-        return LinearRelation(Family.EULER_ZETA, coeffs, Fraction(-1, 2 * (2 * m + 1)))
-    if x == 1:
-        coeffs = {
-            k: Fraction((-1) ** k * falling_factorial(2 * m, 2 * k - 1), 4**k)
-            for k in range(1, m + 1)
-        }
-        rhs = Fraction(2 * m + 1 - 2 ** (2 * m), (2 * m + 1) * 2 ** (2 * m + 1))
-        return LinearRelation(Family.EULER_ZETA, coeffs, rhs)
-    if x == 2:
-        coeffs = {
-            k: (-1) ** (k + 1) * falling_factorial(2 * m, 2 * k - 1)
-            for k in range(1, m + 1)
-        }
-        return LinearRelation(Family.ORDINARY_ZETA, coeffs, Fraction(m, 2 * m + 1))
-    raise ValueError("x must be 0, 1, or 2")
+    if x not in _SUBSTITUTIONS:
+        raise ValueError("x must be 0, 1, or 2")
+    family, sigma, quarter = _SUBSTITUTIONS[x]
+    coeffs = (
+        (k, Fraction(sigma * w, 4**k) if quarter else sigma * w)
+        for k, w in enumerate(_expansion_weights(m), start=1)
+    )
+    rhs = Fraction((2 * m + 1) * x ** (2 * m) - 4**m, (2 * m + 1) * 2 ** (2 * m + 1))
+    return LinearRelation(family, coeffs, rhs)
 
 
 def solve_triangular(relations: Sequence[LinearRelation]) -> list[Fraction]:

@@ -222,6 +222,13 @@ class TestTable:
         assert len(records) == 10  # 5 methods x 2 values of s
         assert [r["method"] for r in records[:5]] == [m.value for m in METHOD_ORDER]
 
+    def test_one_row_json_is_an_array(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--s-max", "1", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == [
+            {"s": 1, "method": "new-theorem", "exact": "1/12 * pi^2"}
+        ]
+
     def test_csv_round_trip(self, capsys):
         code, out, _ = run_cli(
             capsys, "table", "--s-max", "4", "--methods", "all",
@@ -299,6 +306,29 @@ class TestIdentities:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["m", "x", "family", "k", "coefficient", "rhs"]
         assert rows[1] == ["1", "2", "ordinary-zeta", "1", "2", "1/3"]
+
+    @pytest.mark.parametrize("x", [0, 1, 2])
+    def test_largest_m_in_every_format(self, capsys, x):
+        # The paper's printed right sides at m = 512.
+        m = 512
+        rhs = {
+            0: Fraction(-1, 2 * (2 * m + 1)),
+            1: Fraction(2 * m + 1 - 4**m, (2 * m + 1) * 2 ** (2 * m + 1)),
+            2: Fraction(m, 2 * m + 1),
+        }[x]
+        outputs = {}
+        for fmt in ("plain", "csv", "json"):
+            code, outputs[fmt], _ = run_cli(
+                capsys, "identities", "--m", str(m), "--x", str(x), "--format", fmt
+            )
+            assert code == 0
+        assert outputs["plain"].splitlines()[1].endswith(f" = {rhs}")
+        rows = list(csv.reader(io.StringIO(outputs["csv"])))[1:]
+        assert [int(row[3]) for row in rows] == list(range(1, m + 1))
+        assert {Fraction(row[5]) for row in rows} == {rhs}
+        payload = json.loads(outputs["json"])
+        assert len(payload["coefficients"]) == m
+        assert Fraction(payload["rhs"]) == rhs
 
     def test_usage_error(self):
         assert usage_error_code("identities", "--m", "1", "--x", "5") == 2

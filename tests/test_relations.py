@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from euler_zeta.exactmath import falling_factorial
 from euler_zeta.relations import (
     DegenerateSystem,
     Family,
@@ -11,7 +12,30 @@ from euler_zeta.relations import (
 )
 
 
+def _printed_relation(m, x):
+    # The paper's three substitution identities, written out term by term.
+    if x == 0:
+        coeffs = {k: (-1) ** k * falling_factorial(2 * m, 2 * k - 1) for k in range(1, m + 1)}
+        return LinearRelation(Family.EULER_ZETA, coeffs, Fraction(-1, 2 * (2 * m + 1)))
+    if x == 1:
+        coeffs = {
+            k: Fraction((-1) ** k * falling_factorial(2 * m, 2 * k - 1), 4**k)
+            for k in range(1, m + 1)
+        }
+        rhs = Fraction(2 * m + 1 - 4**m, (2 * m + 1) * 2 ** (2 * m + 1))
+        return LinearRelation(Family.EULER_ZETA, coeffs, rhs)
+    coeffs = {k: (-1) ** (k + 1) * falling_factorial(2 * m, 2 * k - 1) for k in range(1, m + 1)}
+    return LinearRelation(Family.ORDINARY_ZETA, coeffs, Fraction(m, 2 * m + 1))
+
+
 class TestRelationAt:
+    @pytest.mark.parametrize("x", [0, 1, 2])
+    def test_matches_the_printed_identities(self, x):
+        # Solves and residuals cannot see a relation scaled by a constant, so
+        # the derived relations are pinned to the printed ones exactly.
+        for m in range(1, 129):
+            assert relation_at(m, x) == _printed_relation(m, x)
+
     def test_x0_single_term(self):
         rel = relation_at(1, 0)
         assert rel.family is Family.EULER_ZETA
