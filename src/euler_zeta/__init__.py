@@ -11,10 +11,7 @@ from .exactmath import (
     PiPolynomial,
     bernoulli,
     bernoulli_akiyama_tanigawa,
-    binomial,
     eval_pi_polynomial,
-    factorial,
-    falling_factorial,
     pi_decimal,
 )
 from .fourier import (
@@ -60,14 +57,11 @@ __all__ = [
     "RECURRENCE_METHODS",
     "bernoulli",
     "bernoulli_akiyama_tanigawa",
-    "binomial",
     "euler_zeta",
     "euler_zeta_closed_form",
     "euler_zeta_coefficients",
     "euler_zeta_series",
     "eval_pi_polynomial",
-    "factorial",
-    "falling_factorial",
     "fourier_coefficient",
     "fourier_coefficient_numeric",
     "leeryoo_constant",

@@ -21,29 +21,11 @@ from typing import Callable, Iterable, Mapping
 __all__ = [
     "PiPolynomial",
     "DecimalApprox",
-    "factorial",
-    "falling_factorial",
-    "binomial",
     "bernoulli",
     "bernoulli_akiyama_tanigawa",
     "pi_decimal",
     "eval_pi_polynomial",
 ]
-
-
-def factorial(n: int) -> int:
-    """n! for n >= 0."""
-    return math.factorial(n)
-
-
-def falling_factorial(n: int, r: int) -> int:
-    """Descending product n(n-1)...(n-r+1); equals 0 when r > n."""
-    return math.perm(n, r)
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k); equals 0 when k > n."""
-    return math.comb(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +50,7 @@ def bernoulli(n: int) -> Fraction:
             m = len(_bernoulli_cache)
             acc = Fraction(0)
             for k in range(m):
-                acc += binomial(m + 1, k) * _bernoulli_cache[k]
+                acc += math.comb(m + 1, k) * _bernoulli_cache[k]
             _bernoulli_cache.append(-acc / (m + 1))
         return _bernoulli_cache[n]
 
@@ -221,7 +203,7 @@ class PiPolynomial:
 
     Keys are exponents k of pi**2 and may be negative; zero coefficients are
     never stored, so equality and hashing are structural.  Instances are
-    immutable; addition, subtraction and scalar multiplication are exact.
+    immutable.
     """
 
     __slots__ = ("_terms",)
@@ -246,12 +228,6 @@ class PiPolynomial:
     def terms(self) -> dict[int, Fraction]:
         return dict(self._terms)
 
-    def coefficient(self, k: int) -> Fraction:
-        for key, c in self._terms:
-            if key == k:
-                return c
-        return Fraction(0)
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -262,26 +238,6 @@ class PiPolynomial:
 
     def __hash__(self) -> int:
         return hash(self._terms)
-
-    def __add__(self, other: "PiPolynomial") -> "PiPolynomial":
-        if not isinstance(other, PiPolynomial):
-            return NotImplemented
-        return PiPolynomial(list(self._terms) + list(other._terms))
-
-    def __sub__(self, other: "PiPolynomial") -> "PiPolynomial":
-        if not isinstance(other, PiPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "PiPolynomial":
-        return PiPolynomial((k, -c) for k, c in self._terms)
-
-    def __mul__(self, scalar: Fraction | int) -> "PiPolynomial":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return PiPolynomial((k, c * scalar) for k, c in self._terms)
-
-    __rmul__ = __mul__
 
     def __repr__(self) -> str:
         body = ", ".join(f"{k}: {c}" for k, c in self._terms)
@@ -386,53 +342,3 @@ def eval_pi_polynomial(p: PiPolynomial, digits: int) -> DecimalApprox:
         return lo, hi
 
     return _enclose(evaluate, digits, digits + 12)
-
-
-# ---------------------------------------------------------------------------
-# cosine of rational multiples of pi (internal; enclosure-valued)
-# ---------------------------------------------------------------------------
-
-
-def _cos_series(x: int, scale: int) -> tuple[int, int]:
-    # Enclosure of cos(x / scale) for 0 <= x < 1.6 * scale via the Taylor
-    # series, in units of 1/scale.  Each term's bounds are the previous
-    # term's times the outward bounds of x**2.  Terms decrease strictly from
-    # the second one on, so the alternating tail bound (first omitted term)
-    # applies at every stopping point used.
-    x2_lo, x2_hi = x * x // scale, _ceil_div(x * x, scale)
-    lo = hi = t_lo = t_hi = scale
-    j = 0
-    while True:
-        j += 1
-        den = (2 * j - 1) * (2 * j) * scale
-        t_lo, t_hi = t_lo * x2_lo // den, _ceil_div(t_hi * x2_hi, den)
-        if j & 1:
-            lo, hi = lo - t_hi, hi - t_lo
-        else:
-            lo, hi = lo + t_lo, hi + t_hi
-        nxt = _ceil_div(t_hi * x2_hi, (2 * j + 1) * (2 * j + 2) * scale)
-        if nxt <= 1:
-            return max(lo - nxt, -scale), min(hi + nxt, scale)
-
-
-def _cos_pi_times(t: Fraction, work: int) -> tuple[int, int]:
-    """cos(pi * t) for rational t, enclosed in units of 10**-work.
-
-    Exact whenever 2t is integral.
-    """
-    scale = 10**work
-    double = 2 * t
-    if double.denominator == 1:
-        exact = (scale, 0, -scale, 0)[double.numerator % 4]
-        return exact, exact
-    r = t - 2 * math.floor(t / 2)  # into [0, 2)
-    if r > 1:
-        r = 2 - r  # cos(2 pi - u) = cos(u)
-    if r > Fraction(1, 2):
-        lo, hi = _cos_pi_times(1 - r, work)  # cos(pi - u) = -cos(u)
-        return -hi, -lo
-    pi_lo, pi_hi = _pi_interval(work)
-    # cos is decreasing on [0, pi/2], so the endpoints swap.
-    lo, _ = _cos_series(_ceil_div(r.numerator * pi_hi, r.denominator), scale)
-    _, hi = _cos_series(r.numerator * pi_lo // r.denominator, scale)
-    return lo, hi

@@ -18,14 +18,11 @@ from typing import Iterator
 from .exactmath import (
     DecimalApprox,
     PiPolynomial,
-    _cos_pi_times,
     _decimal_from_scaled,
     _enclose,
-    _mul,
     _pi_interval,
     _pi_sq_power,
     _scale_by,
-    falling_factorial,
 )
 
 __all__ = [
@@ -46,9 +43,7 @@ class QuadratureBudgetExceeded(RuntimeError):
 def _expansion_weights(m: int) -> list[int]:
     # w_k = (-1)**(k+1) P(2m, 2k-1) for k = 1..m: the one statement of the
     # expansion, a_n = 2**(2m+1) (-1)**n sum_k w_k / (n pi)**(2k).
-    return [
-        (-1) ** (k + 1) * falling_factorial(2 * m, 2 * k - 1) for k in range(1, m + 1)
-    ]
+    return [(-1) ** (k + 1) * math.perm(2 * m, 2 * k - 1) for k in range(1, m + 1)]
 
 
 def fourier_coefficient(m: int, n: int) -> PiPolynomial:
@@ -115,7 +110,7 @@ def fourier_coefficient_numeric(
     pi_lo, pi_hi = (Fraction(end, 10**20) for end in _pi_interval(20))
     w_hi = n * pi_hi / 2
     m6 = sum(
-        math.comb(6, j) * falling_factorial(p, j) * 2 ** (p - j) * w_hi ** (6 - j)
+        math.comb(6, j) * math.perm(p, j) * 2 ** (p - j) * w_hi ** (6 - j)
         for j in range(min(p, 6) + 1)
     ) / 2
     rho = max(Fraction(math.pi) - pi_lo, pi_hi - Fraction(math.pi)) / pi_lo
@@ -158,9 +153,11 @@ def partial_sum(
 ) -> DecimalApprox:
     """Truncated expansion 4**m/(2m+1) + sum_{n=1}^{N} a_n cos(n pi x / 2).
 
-    x must be rational with |x| <= 2.  The reported bound covers evaluation
-    error only (pi enclosures, cosine enclosures, scaling floors); series
-    truncation is deliberately the caller's concern.
+    x must be an integer with |x| <= 2: the points 0, 1 and 2 where the
+    paper substitutes the expansion, and their mirror images.  There every
+    cosine is exactly 0 or +-1, so the reported bound covers evaluation
+    error only (pi enclosures, scaling floors); series truncation is
+    deliberately the caller's concern.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -169,27 +166,22 @@ def partial_sum(
     if digits < 1:
         raise ValueError("digits must be >= 1")
     xq = Fraction(x)
-    if abs(xq) > 2:
-        raise ValueError("x must lie in [-2, 2]")
+    if xq.denominator != 1 or abs(xq) > 2:
+        raise ValueError("x must be an integer in [-2, 2]")
+    xi = xq.numerator
 
-    # cos(n pi x / 2) for x = p/q depends on n only through n mod 4q, and
-    # a_n's pi**(-2k) weights only through the parity of n.
-    p, q = xq.numerator, xq.denominator
-    period = 4 * q
+    # a_n's pi**(-2k) weights depend on n only through its parity.
     even_weights = [2 ** (2 * m + 1) * w for w in _expansion_weights(m)]
     weights = ([-w for w in even_weights], even_weights)
 
     def evaluate(work: int) -> tuple[int, int]:
         scale = 10**work
         powers = [_pi_sq_power(-k, work) for k in range(1, m + 1)]
-        cosines = [
-            _cos_pi_times(Fraction(r * p, 2 * q), work)
-            for r in range(min(period, N + 1))
-        ]
         lo, hi = _scale_by(4**m, 2 * m + 1, (scale, scale))
         for n in range(1, N + 1):
-            cos = cosines[n % period]
-            if cos == (0, 0):
+            # cos(n pi x / 2) is 0 for odd n x, else (-1)**(n x / 2).
+            nx = n * xi
+            if nx % 2:
                 continue
             a_lo = a_hi = 0
             n2 = den = n * n
@@ -198,17 +190,10 @@ def partial_sum(
                 a_lo += t_lo
                 a_hi += t_hi
                 den *= n2
-            # an exact cosine of +-1 is what _mul would return for it
-            if cos == (scale, scale):
-                lo += a_lo
-                hi += a_hi
-            elif cos == (-scale, -scale):
-                lo -= a_hi
-                hi -= a_lo
+            if nx % 4:
+                lo, hi = lo - a_hi, hi - a_lo
             else:
-                p_lo, p_hi = _mul((a_lo, a_hi), cos, scale)
-                lo += p_lo
-                hi += p_hi
+                lo, hi = lo + a_lo, hi + a_hi
         return lo, hi
 
     return _enclose(evaluate, digits, digits + 10)

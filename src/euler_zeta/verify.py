@@ -24,7 +24,8 @@ forms: 3 and 4 require each x = 0 and x = 1 relation to balance the
 closed-form coefficients and to have the printed right side -1/(2(2s+1))
 or ``sum_identity_x1_rhs(s)``; 9 requires the forward solves of the x = 0,
 1 and 2 systems to equal the closed-form zeta_E(2k)/pi**(2k) and
-zeta(2k)/pi**(2k).
+zeta(2k)/pi**(2k), and each x = 2 relation to have the printed right side
+m/(2m+1).
 
 Each suite builds its own coefficient tables (``fresh=True``), so no suite
 reads a table another suite left behind.  The suites do share the
@@ -45,7 +46,6 @@ from .exactmath import (
     bernoulli,
     bernoulli_akiyama_tanigawa,
     eval_pi_polynomial,
-    factorial,
     pi_decimal,
 )
 from .fourier import fourier_coefficient, fourier_coefficient_numeric, partial_sum
@@ -138,8 +138,8 @@ def _suite_perm_diff(s_max: int) -> SuiteResult:
     for s in range(1, s_max + 1):
         for k in range(1, s + 1):
             closed = (
-                2 * factorial(2 * s - 2) * (2 * k - 1) * (2 * s - k)
-            ) // factorial(2 * s - 2 * k + 1)
+                2 * math.factorial(2 * s - 2) * (2 * k - 1) * (2 * s - k)
+            ) // math.factorial(2 * s - 2 * k + 1)
             if perm_diff(s, k) != closed:
                 ok = False
     return SuiteResult(
@@ -218,11 +218,14 @@ def _suite_triangular_solve(s_max: int) -> SuiteResult:
     # equal to the closed forms also shows that they balance each relation.
     euler_expected = [euler_zeta_closed_form(k).coeff for k in range(1, s_max + 1)]
     ordinary_expected = [zeta_even_closed_form(k) for k in range(1, s_max + 1)]
-    solved = [
-        solve_triangular([relation_at(m, x) for m in range(1, s_max + 1)])
-        for x in (0, 1, 2)
-    ]
+    systems = [[relation_at(m, x) for m in range(1, s_max + 1)] for x in (0, 1, 2)]
+    solved = [solve_triangular(system) for system in systems]
     ok = solved == [euler_expected, euler_expected, ordinary_expected]
+    # A solve cannot see a relation scaled by a constant, so the x=2 right
+    # sides are pinned to the printed m/(2m+1) (x=0 and 1 are in 3 and 4).
+    ok = ok and all(
+        rel.rhs == Fraction(m, 2 * m + 1) for m, rel in enumerate(systems[2], start=1)
+    )
     anchors = [Fraction(1, 6), Fraction(1, 90), Fraction(1, 945)]
     ok = ok and ordinary_expected[: len(anchors)] == anchors[:s_max]
     # One elimination step of the x=0 solve is the refined recurrence step.

@@ -24,6 +24,7 @@ pi powers cancelled symbolically; pi never enters an exact computation.
 from __future__ import annotations
 
 import enum
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,8 +38,6 @@ from .exactmath import (
     _decimal_from_scaled,
     bernoulli,
     eval_pi_polynomial,
-    factorial,
-    falling_factorial,
 )
 from .relations import relation_at
 
@@ -111,7 +110,7 @@ def zeta_even_closed_form(n: int) -> Fraction:
     if n < 1:
         raise ValueError("n must be >= 1")
     sign = 1 if n % 2 else -1
-    return sign * bernoulli(2 * n) * Fraction(2 ** (2 * n), 2 * factorial(2 * n))
+    return sign * bernoulli(2 * n) * Fraction(2 ** (2 * n), 2 * math.factorial(2 * n))
 
 
 def euler_zeta_closed_form(s: int) -> EulerZetaValue:
@@ -164,7 +163,7 @@ def perm_diff(s: int, k: int) -> int:
     """
     if not 1 <= k <= s:
         raise ValueError("need 1 <= k <= s")
-    return falling_factorial(2 * s, 2 * k - 1) - falling_factorial(2 * s - 2, 2 * k - 1)
+    return math.perm(2 * s, 2 * k - 1) - math.perm(2 * s - 2, 2 * k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +206,15 @@ def _next_coefficient(method: Method, s: int, prior: list[Fraction]) -> Fraction
             delta = perm_diff(s, k)
             term = prior[k - 1] * delta
             acc -= -term if k % 2 else term
-        return Fraction(sign, factorial(2 * s)) * acc
+        return Fraction(sign, math.factorial(2 * s)) * acc
     if method is Method.COROLLARY:
         inner = Fraction(0)
         for k in range(1, s):
             term = prior[k - 1] * Fraction(
-                (2 * k - 1) * (2 * s - k), factorial(2 * s - 2 * k + 1)
+                (2 * k - 1) * (2 * s - k), math.factorial(2 * s - 2 * k + 1)
             )
             inner += -term if k % 2 else term
-        acc = Fraction(1, factorial(2 * s + 1)) - inner / s
+        acc = Fraction(1, math.factorial(2 * s + 1)) - inner / s
         return Fraction(sign, 2 * s - 1) * acc
     # Lee-Ryoo variants: the x=1 identity keeps a 4**-k weight inside the sum
     # and a 4**s prefactor outside.
@@ -224,7 +223,7 @@ def _next_coefficient(method: Method, s: int, prior: list[Fraction]) -> Fraction
     for k in range(1, s):
         term = prior[k - 1] * Fraction(perm_diff(s, k), 4**k)
         acc -= -term if k % 2 else term
-    return Fraction(sign * 4**s, factorial(2 * s)) * acc
+    return Fraction(sign * 4**s, math.factorial(2 * s)) * acc
 
 
 def _extend(method: Method, table: list[Fraction], s_max: int) -> list[Fraction]:

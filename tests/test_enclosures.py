@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from euler_zeta import exactmath
 from euler_zeta.exactmath import (
     PiPolynomial,
-    _cos_pi_times,
     _pi_interval,
     _pi_sq_power,
     eval_pi_polynomial,
@@ -64,23 +63,6 @@ def test_eval_pi_polynomial_contains_the_value(poly, digits):
         value = sum(_mpf(c) * mpmath.pi ** (2 * k) for k, c in poly.terms.items())
         tol = mpmath.mpf(10) ** -(digits + 30)
         assert _mpf(lo) - tol <= value <= _mpf(hi) + tol
-
-
-@settings(deadline=None, max_examples=300)
-@given(
-    t=st.builds(Fraction, st.integers(-(10**4), 10**4), st.integers(1, 1000)),
-    work=st.integers(1, 60),
-)
-def test_cos_pi_times_contains_the_cosine(t, work):
-    lo, hi = _cos_pi_times(t, work)
-    scale = 10**work
-    assert -scale <= lo <= hi <= scale
-    if (2 * t).denominator == 1:
-        assert lo == hi
-    with mpmath.workdps(work + 30):
-        value = mpmath.cos(mpmath.pi * _mpf(t))
-        tol = mpmath.mpf(10) ** -(work + 20)
-        assert mpmath.mpf(lo) / scale - tol <= value <= mpmath.mpf(hi) / scale + tol
 
 
 def test_pi_interval_truncated_from_a_wider_fill_contains_pi():

@@ -1,8 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from euler_zeta.exactmath import falling_factorial
 from euler_zeta.relations import (
     DegenerateSystem,
     Family,
@@ -15,16 +15,16 @@ from euler_zeta.relations import (
 def _printed_relation(m, x):
     # The paper's three substitution identities, written out term by term.
     if x == 0:
-        coeffs = {k: (-1) ** k * falling_factorial(2 * m, 2 * k - 1) for k in range(1, m + 1)}
+        coeffs = {k: (-1) ** k * math.perm(2 * m, 2 * k - 1) for k in range(1, m + 1)}
         return LinearRelation(Family.EULER_ZETA, coeffs, Fraction(-1, 2 * (2 * m + 1)))
     if x == 1:
         coeffs = {
-            k: Fraction((-1) ** k * falling_factorial(2 * m, 2 * k - 1), 4**k)
+            k: Fraction((-1) ** k * math.perm(2 * m, 2 * k - 1), 4**k)
             for k in range(1, m + 1)
         }
         rhs = Fraction(2 * m + 1 - 4**m, (2 * m + 1) * 2 ** (2 * m + 1))
         return LinearRelation(Family.EULER_ZETA, coeffs, rhs)
-    coeffs = {k: (-1) ** (k + 1) * falling_factorial(2 * m, 2 * k - 1) for k in range(1, m + 1)}
+    coeffs = {k: (-1) ** (k + 1) * math.perm(2 * m, 2 * k - 1) for k in range(1, m + 1)}
     return LinearRelation(Family.ORDINARY_ZETA, coeffs, Fraction(m, 2 * m + 1))
 
 

@@ -3,7 +3,7 @@
 The acceptance criteria run the `verify` suites, so a suite that could
 never fail would hide a broken route.  Each case replaces one name that
 `euler_zeta.verify` imports with a wrong version (`plant(original)`) and
-runs `run_all(4)`: exactly the suite that checks that name must fail.
+runs `run_all(4)`: exactly the suite the case names must fail.
 """
 
 from dataclasses import astuple
@@ -39,46 +39,66 @@ def _corollary_c3_changed(f):
     ]
 
 
+# case id -> (suite that must fail, name replaced in verify, plant)
 CASES = {
-    "method-agreement": ("euler_zeta_coefficients", _corollary_c3_changed),
+    "method-agreement": (
+        "method-agreement",
+        "euler_zeta_coefficients",
+        _corollary_c3_changed,
+    ),
     "documented-erratum": (
+        "documented-erratum",
         "leeryoo_constant",
         lambda f: lambda s, variant: f(s, "printed"),
     ),
-    "sum-identity-x0": ("relation_at", _doubled_at((3, 0))),
-    "sum-identity-x1": ("relation_at", _doubled_at((3, 1))),
-    "perm-diff": ("perm_diff", lambda f: lambda s, k: f(s, k) + ((s, k) == (3, 2))),
-    "bernoulli-oracle": ("bernoulli", lambda f: lambda n: f(n) + (n == 10)),
+    "sum-identity-x0": ("sum-identity-x0", "relation_at", _doubled_at((3, 0))),
+    "sum-identity-x1": ("sum-identity-x1", "relation_at", _doubled_at((3, 1))),
+    "perm-diff": (
+        "perm-diff",
+        "perm_diff",
+        lambda f: lambda s, k: f(s, k) + ((s, k) == (3, 2)),
+    ),
+    "bernoulli-oracle": (
+        "bernoulli-oracle",
+        "bernoulli",
+        lambda f: lambda n: f(n) + (n == 10),
+    ),
     "fourier-quadrature": (
+        "fourier-quadrature",
         "fourier_coefficient_numeric",
         _approx(lambda value, bound: (value + Decimal("1e-8"), bound)),
     ),
     # x = 1 evaluated at x = 0.
     "partial-sum-convergence": (
+        "partial-sum-convergence",
         "partial_sum",
         lambda f: lambda m, x, terms, digits: f(m, 0, terms, digits),
     ),
     "series-enclosure": (
+        "series-enclosure",
         "euler_zeta_series",
         _approx(lambda value, bound: (value, bound / 2)),
     ),
     # The last unknown taken as its relation's right side, with no elimination.
     "triangular-solve": (
+        "triangular-solve",
         "solve_triangular",
         lambda f: lambda rels: f(rels[:-1]) + [rels[-1].rhs],
     ),
+    "triangular-solve-x2": ("triangular-solve", "relation_at", _doubled_at((3, 2))),
     # One power of pi^2 too many.
     "monotonicity": (
+        "monotonicity",
         "PiPolynomial",
         lambda f: lambda terms: f({k + 1: q for k, q in terms.items()}),
     ),
 }
 
 
-@pytest.mark.parametrize("suite", CASES)
-def test_planted_defect_fails_only_its_suite(monkeypatch, suite):
-    name, plant = CASES[suite]
+@pytest.mark.parametrize("case", CASES)
+def test_planted_defect_fails_only_its_suite(monkeypatch, case):
+    suite, name, plant = CASES[case]
     monkeypatch.setattr(verify, name, plant(getattr(verify, name)))
     results = verify.run_all(4)
-    assert {result.name for result in results} == set(CASES)
+    assert {result.name for result in results} == {s for s, _, _ in CASES.values()}
     assert [result.name for result in results if not result.passed] == [suite]
