@@ -6,17 +6,15 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import re
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence, TextIO
+from io import TextIOBase
 
-from . import verify as verification
 from .exactmath import PiPolynomial, _decimal_from_scaled, eval_pi_polynomial
 from .relations import relation_at
 from .zeta import Method, euler_zeta_coefficients
@@ -51,6 +49,8 @@ CSV_HEADER = ["s", "method", "numerator", "denominator", "pi_power", "decimal"]
 MAX_S = 512
 #: Largest --digits.
 MAX_DIGITS = 10000
+#: Largest bench --repeats; every repeat recomputes all five tables.
+_MAX_REPEATS = 100
 
 _ERRATUM_WARNING = (
     "warning: leeryoo-printed reproduces a constant with a known erratum "
@@ -59,15 +59,15 @@ _ERRATUM_WARNING = (
 )
 
 
-@dataclass
-class OutputRecord:
-    """One rendered value; `exact` is `num/den * pi^POWER` and round-trips."""
+class OutputRecord(
+    namedtuple("OutputRecord", "s method exact decimal digits", defaults=(None, None))
+):
+    """One rendered value; `exact` is `num/den * pi^POWER` and round-trips.
 
-    s: int
-    method: str
-    exact: str
-    decimal: str | None = None
-    digits: int | None = None
+    `decimal` and `digits` are None unless a decimal rendering was asked for.
+    """
+
+    __slots__ = ()
 
 
 _EXACT_RE = re.compile(r"^(-?\d+)/(\d+) \* pi\^(-?\d+)$")
@@ -109,16 +109,29 @@ def _decimal_string(coeff: Fraction, s: int, digits: int) -> str:
 
 def _record(s: int, method: Method, digits: int | None) -> OutputRecord:
     coeff = euler_zeta_coefficients(s, method)[-1]
-    record = OutputRecord(s=s, method=method.value, exact=format_exact(coeff, 2 * s))
-    if digits is not None:
-        record.decimal = _decimal_string(coeff, s, digits)
-        record.digits = digits
-    return record
+    decimal = None if digits is None else _decimal_string(coeff, s, digits)
+    return OutputRecord(s, method.value, format_exact(coeff, 2 * s), decimal, digits)
 
 
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
+
+# csv and json are imported where a format needs them: most runs print plain
+# text, and every module imported at start-up is paid for on each cold run.
+
+
+def _csv_writer(out: TextIOBase):
+    import csv
+
+    return csv.writer(out, lineterminator="\n")
+
+
+def _write_json(payload: object, out: TextIOBase) -> None:
+    import json
+
+    json.dump(payload, out, indent=2)
+    out.write("\n")
 
 
 def _record_json(record: OutputRecord) -> dict:
@@ -142,7 +155,7 @@ def _record_csv_row(record: OutputRecord) -> list[str]:
 
 
 def _emit_records(
-    records: OutputRecord | Sequence[OutputRecord], fmt: str, out: TextIO
+    records: OutputRecord | Sequence[OutputRecord], fmt: str, out: TextIOBase
 ) -> None:
     """Render records; in JSON one record is an object and a sequence an array."""
     single = isinstance(records, OutputRecord)
@@ -154,14 +167,12 @@ def _emit_records(
                 line += f" ~= {record.decimal}"
             print(line, file=out)
     elif fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
+        writer = _csv_writer(out)
         writer.writerow(CSV_HEADER)
         for record in rows:
             writer.writerow(_record_csv_row(record))
     else:
-        payload = _record_json(records) if single else [_record_json(r) for r in rows]
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+        _write_json(_record_json(records) if single else [_record_json(r) for r in rows], out)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +195,6 @@ def _int_between(minimum: int, maximum: int | None = None) -> Callable[[str], in
     return convert
 
 
-_positive_int = _int_between(1)
 _s_arg = _int_between(1, MAX_S)
 
 
@@ -227,6 +237,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify as verification  # only this subcommand needs the suites
+
     results = verification.run_all(args.s_max)
     width = max(len(result.name) for result in results)
     for result in results:
@@ -246,7 +258,7 @@ def _cmd_identities(args: argparse.Namespace) -> int:
         print(f"  {terms} = {relation.rhs}")
         print(f"  where v_k = {unknown}(2k)/pi^(2k)")
     elif args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer = _csv_writer(sys.stdout)
         writer.writerow(["m", "x", "family", "k", "coefficient", "rhs"])
         for k, q in relation.coefficients.items():
             writer.writerow([args.m, args.x, relation.family.value, k, str(q), str(relation.rhs)])
@@ -258,8 +270,7 @@ def _cmd_identities(args: argparse.Namespace) -> int:
             "coefficients": {str(k): str(q) for k, q in relation.coefficients.items()},
             "rhs": str(relation.rhs),
         }
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json(payload, sys.stdout)
     return 0
 
 
@@ -277,7 +288,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
         rows.append((method.value, best, bits))
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer = _csv_writer(sys.stdout)
         writer.writerow(["method", "s_max", "repeats", "best_seconds", "max_coefficient_bits"])
         for name, seconds, bits in rows:
             writer.writerow([name, args.s_max, args.repeats, f"{seconds:.6f}", bits])
@@ -350,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "Bernoulli fill is timed once: later repeats reuse its memo)")
     bench.add_argument("--s-max", dest="s_max", type=_int_between(2, MAX_S), required=True,
                        help=f"table size, 2 <= s_max <= {MAX_S}")
-    bench.add_argument("--repeats", type=_positive_int, default=3)
+    bench.add_argument("--repeats", type=_int_between(1, _MAX_REPEATS), default=3,
+                       help=f"timed runs per method, 1 <= repeats <= {_MAX_REPEATS}")
     _add_format(bench, choices=("plain", "csv"))
     bench.set_defaults(func=_cmd_bench)
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Mapping
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
 
 __all__ = [
     "PiPolynomial",
@@ -64,13 +64,16 @@ def bernoulli_akiyama_tanigawa(n: int) -> list[Fraction]:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    row: list[Fraction] = [Fraction(0)] * (n + 1)
+    # The triangle is linear in its seeds 1/(m+1), so it runs on their
+    # numerators over the common denominator lcm(1..n+1).
+    common = math.lcm(*range(1, n + 2))
+    row = [0] * (n + 1)
     out: list[Fraction] = []
     for m in range(n + 1):
-        row[m] = Fraction(1, m + 1)
+        row[m] = common // (m + 1)
         for j in range(m, 0, -1):
             row[j - 1] = j * (row[j - 1] - row[j])
-        out.append(row[0])
+        out.append(Fraction(row[0], common))
     if n >= 1:
         out[1] = -out[1]
     return out
@@ -171,20 +174,25 @@ def pi_decimal(digits: int) -> DecimalApprox:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecimalApprox:
+class DecimalApprox(namedtuple("DecimalApprox", "value abs_error_bound")):
     """A decimal value with a guaranteed absolute error bound.
 
     The represented true quantity lies in
-    [value - abs_error_bound, value + abs_error_bound].
+    [value - abs_error_bound, value + abs_error_bound].  Both fields are
+    `Decimal`s.
     """
 
-    value: Decimal
-    abs_error_bound: Decimal
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.abs_error_bound < 0:
+    def __new__(cls, value: Decimal, abs_error_bound: Decimal) -> DecimalApprox:
+        if abs_error_bound < 0:
             raise ValueError("abs_error_bound must be nonnegative")
+        return super().__new__(cls, value, abs_error_bound)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Decimal]) -> DecimalApprox:
+        # namedtuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
     def bounds(self) -> tuple[Fraction, Fraction]:
         """Interval endpoints as exact rationals."""

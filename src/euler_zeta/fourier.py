@@ -9,11 +9,11 @@ validate it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
 from itertools import count, repeat
 from operator import mul, truediv
-from typing import Iterator
 
 from .exactmath import (
     DecimalApprox,

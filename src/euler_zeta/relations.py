@@ -30,8 +30,8 @@ recurrence step.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 from .fourier import _expansion_weights
 

@@ -36,8 +36,8 @@ them filled and reuses those values instead of recomputing them.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 
@@ -65,11 +65,10 @@ from .zeta import (
 __all__ = ["SuiteResult", "run_all"]
 
 
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    passed: bool
-    detail: str
+class SuiteResult(namedtuple("SuiteResult", "name passed detail")):
+    """One suite's outcome: its printed name, pass or fail, and a detail line."""
+
+    __slots__ = ()
 
 
 def _suite_method_agreement(s_max: int) -> SuiteResult:

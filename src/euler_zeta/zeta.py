@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
 from operator import floordiv
@@ -85,12 +85,10 @@ AGREEING_METHODS = (
 )
 
 
-@dataclass(frozen=True)
-class EulerZetaValue:
-    """zeta_E(2s) represented exactly as coeff * pi**(2s)."""
+class EulerZetaValue(namedtuple("EulerZetaValue", "s coeff")):
+    """zeta_E(2s) represented exactly as coeff * pi**(2s), coeff a Fraction."""
 
-    s: int
-    coeff: Fraction
+    __slots__ = ()
 
     def as_pi_polynomial(self) -> PiPolynomial:
         return PiPolynomial({self.s: self.coeff})

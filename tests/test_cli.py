@@ -1,6 +1,8 @@
+import ast
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from decimal import Decimal
@@ -22,6 +24,8 @@ from euler_zeta.cli import (
     parse_exact,
 )
 from euler_zeta.exactmath import DecimalApprox
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -376,6 +380,7 @@ class TestBench:
     def test_usage_errors(self):
         assert usage_error_code("bench", "--s-max", "0", "--repeats", "1") == 2
         assert usage_error_code("bench", "--s-max", "4", "--repeats", "0") == 2
+        assert usage_error_code("bench", "--s-max", "4", "--repeats", "101") == 2
         assert usage_error_code("bench", "--s-max", "4", "--format", "json") == 2
 
 
@@ -411,6 +416,33 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert result.stdout.splitlines()[-1] == "False"
+
+    def test_import_loads_only_what_every_subcommand_needs(self):
+        # Each module imported at start-up is paid for on every cold run.  The
+        # package needs none of these for every subcommand; typing counts only
+        # where the interpreter's own start-up has not loaded it already.
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import euler_zeta.cli\n"
+            "print(sorted(set(sys.modules) - before))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0
+        added = set(ast.literal_eval(result.stdout))
+        deferred = {"dataclasses", "inspect", "json", "csv", "typing", "euler_zeta.verify"}
+        assert added & deferred == set()
+        verify = subprocess.run(
+            [sys.executable, "-m", "euler_zeta", "verify", "--s-max", "2"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert verify.returncode == 0
+        assert verify.stdout.endswith(" suites passed\n")
 
     def test_module_invocation_usage_error(self):
         result = subprocess.run(

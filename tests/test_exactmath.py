@@ -64,6 +64,11 @@ class TestBernoulli:
         with pytest.raises(ValueError):
             bernoulli_akiyama_tanigawa(-1)
 
+    def test_akiyama_tanigawa_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        expected = [Fraction(*mpmath.bernfrac(n)) for n in range(201)]
+        assert bernoulli_akiyama_tanigawa(200) == expected
+
 
 class TestPiDecimal:
     @pytest.mark.parametrize("digits", [1, 5, 15, 30, 50])
@@ -124,6 +129,8 @@ class TestDecimalApprox:
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
             DecimalApprox(Decimal(1), Decimal(-1))
+        with pytest.raises(ValueError):
+            DecimalApprox(Decimal(1), Decimal(0))._replace(abs_error_bound=Decimal(-1))
 
 
 class TestEvalPiPolynomial:

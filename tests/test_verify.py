@@ -6,7 +6,6 @@ never fail would hide a broken route.  Each case replaces one name that
 runs `run_all(4)`: exactly the suite the case names must fail.
 """
 
-from dataclasses import astuple
 from decimal import Decimal
 
 import pytest
@@ -19,7 +18,14 @@ from euler_zeta.zeta import Method
 
 def _approx(change):
     # The original DecimalApprox with (value, bound) passed through change.
-    return lambda f: lambda *args: DecimalApprox(*change(*astuple(f(*args))))
+    def plant(f):
+        def planted(*args):
+            approx = f(*args)
+            return DecimalApprox(*change(approx.value, approx.abs_error_bound))
+
+        return planted
+
+    return plant
 
 
 def _doubled_at(where):
