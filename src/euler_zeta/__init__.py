@@ -29,7 +29,6 @@ from .relations import (
 )
 from .zeta import (
     AGREEING_METHODS,
-    RECURRENCE_METHODS,
     EulerZetaValue,
     Method,
     euler_zeta,
@@ -54,7 +53,6 @@ __all__ = [
     "Method",
     "PiPolynomial",
     "QuadratureBudgetExceeded",
-    "RECURRENCE_METHODS",
     "bernoulli",
     "bernoulli_akiyama_tanigawa",
     "euler_zeta",

@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 import time
@@ -15,7 +14,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from io import TextIOBase
 
-from .exactmath import PiPolynomial, _decimal_from_scaled, eval_pi_polynomial
+from .exactmath import PiPolynomial, eval_pi_polynomial
 from .relations import relation_at
 from .zeta import Method, euler_zeta_coefficients
 
@@ -85,31 +84,11 @@ def parse_exact(text: str) -> tuple[Fraction, int]:
     return Fraction(int(match[1]), int(match[2])), int(match[3])
 
 
-def _decimal_string(coeff: Fraction, s: int, digits: int) -> str:
-    """coeff * pi**(2s) correctly rounded to `digits` places.
-
-    Ziv's strategy: refine the enclosure until it holds no rounding boundary
-    (a half unit of 10**-digits), so every point in it, the true value
-    included, rounds to the same decimal.  The value is irrational for
-    coeff != 0 and s >= 1, so it never sits on a boundary and the loop ends;
-    coeff = 0 is enclosed exactly.
-    """
-    poly = PiPolynomial({s: coeff})
-    unit = 10**digits
-    precision = digits + 2
-    while True:
-        lo, hi = eval_pi_polynomial(poly, precision).bounds()
-        # Shifted by half a unit, the boundaries become the integers.
-        low, high = lo * unit + Fraction(1, 2), hi * unit + Fraction(1, 2)
-        nearest = math.floor(low)
-        if nearest == math.floor(high) and nearest != low:
-            return str(_decimal_from_scaled(nearest, digits))
-        precision *= 2
-
-
 def _record(s: int, method: Method, digits: int | None) -> OutputRecord:
     coeff = euler_zeta_coefficients(s, method)[-1]
-    decimal = None if digits is None else _decimal_string(coeff, s, digits)
+    decimal = None
+    if digits is not None:
+        decimal = str(eval_pi_polynomial(PiPolynomial({s: coeff}), digits).value)
     return OutputRecord(s, method.value, format_exact(coeff, 2 * s), decimal, digits)
 
 

@@ -4,9 +4,10 @@ Every quantity in this library is one of three things: an exact rational
 (`fractions.Fraction`, always reduced with a positive denominator), an exact
 finite sum of rational multiples of even powers of pi (`PiPolynomial`), or a
 decimal carrying an explicit absolute error bound (`DecimalApprox`).  Nothing
-here ever rounds silently; whenever a decimal is produced, the bound is a
-proven enclosure of the true value.  On the way to a decimal, every value is
-carried as an outward-rounded integer pair in units of 10**-work.
+here ever rounds silently.  On the way to a decimal, every value is carried
+as an outward-rounded integer pair in units of 10**-work, and one precision
+loop (`_enclose`) turns the pair into the value correctly rounded to the
+requested places, with bound one unit in the last place.
 """
 
 from __future__ import annotations
@@ -86,12 +87,15 @@ def bernoulli_akiyama_tanigawa(n: int) -> list[Fraction]:
 
 def _arctan_recip_scaled(x: int, scale: int) -> tuple[int, int]:
     # arctan(1/x) * scale by the alternating series, floored term by term.
-    # Error budget: one last-place unit per computed term (the floor) plus
-    # one for the tail (first omitted term is < 1 unit).
+    # Error budget, in last-place units: under one per computed term (its
+    # floor) and one for the tail.
     total = 0
     power = x
     xx = x * x
     k = 0
+    # The tail unit: the loop stops at the first term whose floor is 0, so
+    # that term is under one unit, and the terms of this alternating series
+    # decrease, so the omitted tail is smaller than its first term.
     err_units = 1
     while True:
         term = scale // (power * (2 * k + 1))
@@ -142,11 +146,6 @@ def _decimal_from_scaled(value: int, shift: int) -> Decimal:
         return Decimal(value).scaleb(-shift)
 
 
-def _round_to_decimal(x: Fraction, digits: int) -> Decimal:
-    # Nearest multiple of 10**-digits (ties to even), constructed exactly.
-    return _decimal_from_scaled(round(x * 10**digits), digits)
-
-
 def _ceil_to_decimal(x: Fraction, digits: int) -> Decimal:
     # Smallest multiple of 10**-digits that is >= x (x nonnegative).
     scaled = x * 10**digits
@@ -154,19 +153,8 @@ def _ceil_to_decimal(x: Fraction, digits: int) -> Decimal:
 
 
 def pi_decimal(digits: int) -> DecimalApprox:
-    """pi rounded to `digits` decimal places with bound 10**-digits.
-
-    The true rounding error is at most half a unit in the last place plus
-    the (far smaller) enclosure width of the scaled-integer computation, so
-    the advertised bound is comfortably valid.
-    """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    lo, hi = _pi_interval(digits + 10)
-    return DecimalApprox(
-        _round_to_decimal(Fraction(lo + hi, 2 * 10 ** (digits + 10)), digits),
-        _decimal_from_scaled(1, digits),
-    )
+    """pi correctly rounded to `digits` decimal places, with bound 10**-digits."""
+    return _enclose(_pi_interval, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -302,39 +290,50 @@ def _pi_sq_power(k: int, work: int) -> tuple[int, int]:
     return power
 
 
-def _enclose(
-    evaluate: Callable[[int], tuple[int, int]], digits: int, work: int
-) -> DecimalApprox:
-    """Decimal with a proven bound <= 10**-digits from a scaled enclosure.
+def _enclose(evaluate: Callable[[int], tuple[int, int]], digits: int) -> DecimalApprox:
+    """The value x enclosed by `evaluate`, correctly rounded to `digits` places.
 
-    `evaluate(work)` encloses the quantity in units of 10**-work; the working
-    precision doubles until the target bound is met.  The reported bound is
-    twice the achieved half-width plus conversion error, which makes
-    re-evaluation at higher precision land strictly inside the reported
-    interval.
+    `evaluate(work)` returns integers lo <= x * 10**work <= hi.  Ziv's test
+    decides the rounding: starting at work = digits + 12, the working
+    precision doubles until no rounding boundary (the midpoint between two
+    neighbouring multiples of 10**-digits) lies in [lo, hi], so every point
+    of the pair, x included, rounds to the same decimal.  An exact pair
+    (lo == hi) is rounded directly, a tie to even.  The value returned is
+    within half a unit of x; the reported bound is one unit, 10**-digits.
+
+    The loop ends.  A value on a boundary is a terminating rational whose
+    denominator divides 2 * 10**digits, and a rational evaluates exactly
+    once that denominator divides 10**work, which holds from the first pass
+    (work > digits).  Every other value lies a positive distance from each
+    boundary, and the pair's width, which grows far slower in units than
+    10**work does, falls below that distance.  The callers enclose pi, rationals and
+    nonconstant sums of powers of pi, and the last are transcendental, so
+    never on a boundary.
     """
-    target = Fraction(1, 10**digits)
-    quant = digits + 5
-    conv = Fraction(1, 2 * 10**quant)
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    work = digits + 12
     while True:
         lo, hi = evaluate(work)
-        scale = 10**work
-        half = Fraction(hi - lo, 2 * scale)
-        err = 2 * (half + conv)
-        if err <= target:
-            return DecimalApprox(
-                _round_to_decimal(Fraction(lo + hi, 2 * scale), quant),
-                _ceil_to_decimal(err, quant + 3),
-            )
+        unit = 10 ** (work - digits)
+        # Shifted by half a unit, the boundaries are the multiples of 2 * unit.
+        nearest, offset = divmod(2 * lo + unit, 2 * unit)
+        if lo == hi:
+            if not offset and nearest & 1:
+                nearest -= 1
+            break
+        if offset and nearest == (2 * hi + unit) // (2 * unit):
+            break
         work *= 2
+    return DecimalApprox(_decimal_from_scaled(nearest, digits), _decimal_from_scaled(1, digits))
 
 
 def eval_pi_polynomial(p: PiPolynomial, digits: int) -> DecimalApprox:
-    """Evaluate sum_k c_k * pi**(2k) with a proven bound <= 10**-digits.
+    """sum_k c_k * pi**(2k) correctly rounded to `digits` places, bound 10**-digits.
 
     Each term is an outward-rounded scaled-integer enclosure of pi**(2k)
     multiplied by the exact rational c_k; see :func:`_enclose` for the
-    precision loop and the reported bound.
+    precision loop.  The empty sum is the exact 0 with bound 0.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -349,4 +348,4 @@ def eval_pi_polynomial(p: PiPolynomial, digits: int) -> DecimalApprox:
             hi += t_hi
         return lo, hi
 
-    return _enclose(evaluate, digits, digits + 12)
+    return _enclose(evaluate, digits)

@@ -155,16 +155,14 @@ def partial_sum(
 
     x must be an integer with |x| <= 2: the points 0, 1 and 2 where the
     paper substitutes the expansion, and their mirror images.  There every
-    cosine is exactly 0 or +-1, so the reported bound covers evaluation
-    error only (pi enclosures, scaling floors); series truncation is
+    cosine is exactly 0 or +-1, and the truncated sum comes back correctly
+    rounded to `digits` places with bound 10**-digits; series truncation is
     deliberately the caller's concern.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if N < 1:
         raise ValueError("N must be >= 1")
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
     xq = Fraction(x)
     if xq.denominator != 1 or abs(xq) > 2:
         raise ValueError("x must be an integer in [-2, 2]")
@@ -196,4 +194,4 @@ def partial_sum(
                 lo, hi = lo + a_lo, hi + a_hi
         return lo, hi
 
-    return _enclose(evaluate, digits, digits + 10)
+    return _enclose(evaluate, digits)

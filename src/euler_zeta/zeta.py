@@ -45,7 +45,6 @@ __all__ = [
     "Method",
     "EulerZetaValue",
     "AGREEING_METHODS",
-    "RECURRENCE_METHODS",
     "zeta_even_closed_form",
     "euler_zeta_closed_form",
     "euler_zeta",
@@ -69,13 +68,6 @@ class Method(enum.Enum):
     CLOSED_FORM = "closed-form"
 
 
-RECURRENCE_METHODS = (
-    Method.NEW_THEOREM,
-    Method.COROLLARY,
-    Method.LEERYOO_DERIVED,
-    Method.LEERYOO_PRINTED,
-)
-
 #: Routes that must produce identical rationals for every s.
 AGREEING_METHODS = (
     Method.NEW_THEOREM,
@@ -94,7 +86,7 @@ class EulerZetaValue(namedtuple("EulerZetaValue", "s coeff")):
         return PiPolynomial({self.s: self.coeff})
 
     def decimal(self, digits: int) -> DecimalApprox:
-        """Enclosed decimal value of zeta_E(2s)."""
+        """zeta_E(2s) correctly rounded to `digits` places, with bound 10**-digits."""
         return eval_pi_polynomial(self.as_pi_polynomial(), digits)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from euler_zeta import cli
+from euler_zeta import cli, exactmath
 from euler_zeta import verify as verification
 from euler_zeta.cli import (
     CSV_HEADER,
@@ -23,7 +23,6 @@ from euler_zeta.cli import (
     main,
     parse_exact,
 )
-from euler_zeta.exactmath import DecimalApprox
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -121,18 +120,21 @@ class TestValue:
 class TestCorrectRounding:
     def test_refines_an_enclosure_that_straddles_a_tie(self, capsys, monkeypatch):
         # 7/720 pi^4 = 0.947032829 4972..., 2.8e-12 below the tie 0.9470328295
-        # between its 9-place neighbours.  An enclosure centred on the tie with
-        # bound 1e-11 is proven, yet rounding its centre picks ...830.
-        real = cli.eval_pi_polynomial
+        # between its 9-place neighbours.  The first pi^4 enclosure is centred
+        # on tie * 720/7 and 1.4e-8 wide: it holds pi^4, yet the value's pair
+        # holds the tie too and rounding its centre picks ...830.
+        real = exactmath._pi_sq_power
         calls = []
 
-        def straddling(poly, digits):
-            calls.append(digits)
+        def straddling(k, work):
+            calls.append(work)
             if len(calls) == 1:
-                return DecimalApprox(Decimal("0.9470328295"), Decimal(1).scaleb(-digits))
-            return real(poly, digits)
+                centre = -(-9470328295 * 10 ** (work - 10) * 720 // 7)
+                width = 720 * 10 ** (work - 11)
+                return centre - width, centre + width
+            return real(k, work)
 
-        monkeypatch.setattr(cli, "eval_pi_polynomial", straddling)
+        monkeypatch.setattr(exactmath, "_pi_sq_power", straddling)
         code, out, _ = run_cli(
             capsys, "value", "--s", "2", "--method", "closed-form", "--digits", "9"
         )

@@ -8,6 +8,8 @@ import pytest
 from euler_zeta.exactmath import (
     DecimalApprox,
     PiPolynomial,
+    _mul,
+    _scale_by,
     bernoulli,
     bernoulli_akiyama_tanigawa,
     eval_pi_polynomial,
@@ -21,6 +23,8 @@ PI_60 = Fraction(
 # pi^2/12 and -16/pi^2, frozen from an independent high-precision computation.
 PI2_OVER_12 = Fraction(Decimal("0.8224670334241132182362075833230125946094"))
 MINUS_16_OVER_PI2 = Fraction(Decimal("-1.6211389382774043431"))
+# Every integer pair lo <= hi with |lo|, |hi| <= 7: each sign at each end.
+SMALL_PAIRS = [(lo, hi) for lo in range(-7, 8) for hi in range(lo, 8)]
 
 
 class TestRationalContract:
@@ -131,6 +135,30 @@ class TestDecimalApprox:
             DecimalApprox(Decimal(1), Decimal(-1))
         with pytest.raises(ValueError):
             DecimalApprox(Decimal(1), Decimal(0))._replace(abs_error_bound=Decimal(-1))
+
+
+class TestOutwardRounding:
+    # Exactly the floor of the true lower end and the ceiling of the true
+    # upper end: one unit of inward rounding fails here, with no slack.
+    def test_scale_by(self):
+        for num in range(-7, 8):
+            for den in range(1, 8):
+                for lo, hi in SMALL_PAIRS:
+                    ends = Fraction(num * lo, den), Fraction(num * hi, den)
+                    expected = math.floor(min(ends)), math.ceil(max(ends))
+                    assert _scale_by(num, den, (lo, hi)) == expected
+
+    def test_mul(self):
+        for scale in range(1, 8):
+            for a in SMALL_PAIRS:
+                for b in SMALL_PAIRS:
+                    # The product of two intervals takes its extremes at corners.
+                    corners = [x * y for x in a for y in b]
+                    expected = (
+                        math.floor(Fraction(min(corners), scale)),
+                        math.ceil(Fraction(max(corners), scale)),
+                    )
+                    assert _mul(a, b, scale) == expected
 
 
 class TestEvalPiPolynomial:

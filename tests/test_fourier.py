@@ -51,7 +51,7 @@ def _reference_partial_sum(m, x, N, digits):
                 lo, hi = lo - a_hi, hi - a_lo
         return lo, hi
 
-    return _enclose(evaluate, digits, digits + 10)
+    return _enclose(evaluate, digits)
 
 
 def _pi_upper() -> Fraction:

@@ -8,7 +8,6 @@ from euler_zeta import zeta
 from euler_zeta.exactmath import DecimalApprox, _ceil_to_decimal, _decimal_from_scaled
 from euler_zeta.zeta import (
     AGREEING_METHODS,
-    RECURRENCE_METHODS,
     Method,
     EulerZetaValue,
     euler_zeta,
@@ -223,5 +222,4 @@ class TestValueBehaviour:
             previous_hi = hi
 
     def test_method_list_constants(self):
-        assert set(RECURRENCE_METHODS) | {Method.CLOSED_FORM} == set(Method)
         assert Method.LEERYOO_PRINTED not in AGREEING_METHODS
