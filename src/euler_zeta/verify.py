@@ -28,18 +28,23 @@ zeta(2k)/pi**(2k), and each x = 2 relation to have the printed right side
 m/(2m+1).
 
 Each suite builds its own coefficient tables (``fresh=True``), so no suite
-reads a table another suite left behind.  The suites do share the
-process-wide Bernoulli and pi memos: a suite that runs after another finds
-them filled and reuses those values instead of recomputing them.
+reads a table another suite left behind.  The Bernoulli and pi memos are
+per process: ``run_all`` spreads the suites over forked workers, and which
+process runs a suite, and so which memos it finds filled, is not fixed.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 from collections import namedtuple
 from collections.abc import Callable
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 from .exactmath import (
     PiPolynomial,
@@ -258,20 +263,129 @@ def _suite_monotonicity(s_max: int) -> SuiteResult:
     )
 
 
+#: Claim order, longest first.  Seconds per suite, each run alone in a fresh
+#: process (2 vCPU, Python 3.11.7), at --s-max 64 / 512:
+#:
+#:   method-agreement   0.10 / 47.1    monotonicity             0.05 / 11.5
+#:   series-enclosure   0.27 /  0.21   bernoulli-oracle         0.05 /  0.04
+#:   documented-erratum 0.08 / 22.7    partial-sum-convergence  0.03 /  0.03
+#:   sum-identity-x1    0.09 / 21.9    triangular-solve         0.03 /  0.03
+#:   sum-identity-x0    0.07 / 17.0    fourier-quadrature       0.02 /  0.02
+#:   perm-diff          0.01 / 12.8
+#:
+#: At 512 about 12 s of each closed-form suite's figure is the Bernoulli
+#: fill, which a process pays once.  method-agreement leads at 512 and
+#: series-enclosure at 64; the rest follow their cost at 512, then at 64.
+_LONGEST_FIRST = (
+    _suite_method_agreement,
+    _suite_series_enclosure,
+    _suite_documented_erratum,
+    _suite_sum_identity_x1,
+    _suite_sum_identity_x0,
+    _suite_perm_diff,
+    _suite_monotonicity,
+    _suite_bernoulli,
+    _suite_partial_sum_convergence,
+    _suite_triangular_solve,
+    _suite_fourier_quadrature,
+)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on macOS or Windows
+        return os.cpu_count() or 1
+
+
+def _claim(suites: list[partial], claims: int) -> dict[int, SuiteResult]:
+    # Each byte read from the shared pipe is one suite index; EOF ends the work.
+    results = {}
+    while index := os.read(claims, 1):
+        results[index[0]] = suites[index[0]]()
+    return results
+
+
+def _work_in_child(suites: list[partial], claims: int, result_in: int) -> None:
+    # Never returns: os._exit keeps the caller's stack, atexit handlers and
+    # inherited stdout buffers from running a second time in the child.
+    status = 1
+    try:
+        try:
+            outcome = _claim(suites, claims)
+        except BaseException as exc:  # the caller re-raises it
+            outcome = exc
+        with open(result_in, "wb") as out:
+            out.write(pickle.dumps(outcome))
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def run_all(s_max: int) -> list[SuiteResult]:
-    """Every suite at its natural sweep size; s_max scales the exact sweeps."""
+    """Every suite at its natural sweep size; s_max scales the exact sweeps.
+
+    The suites are independent, so they spread over the usable CPUs: the
+    caller and ``os.fork`` children claim suite indices, longest first, from
+    one pipe, and each child pickles its results (or the exception it
+    raised) back.  With one CPU, without ``os.fork`` or with another thread
+    alive (a fork copies no thread, but may copy a lock one holds), no child
+    is forked and the caller claims every suite through the same loop; if a
+    fork fails, the workers already started share the claims.  Results come
+    back in the printed order.
+    """
     if s_max < 2:
         raise ValueError("s_max must be >= 2")
-    return [
-        _suite_method_agreement(s_max),
-        _suite_documented_erratum(s_max),
-        _suite_sum_identity_x0(s_max),
-        _suite_sum_identity_x1(s_max),
-        _suite_perm_diff(s_max),
-        _suite_bernoulli(s_max),
-        _suite_fourier_quadrature(),
-        _suite_partial_sum_convergence(),
-        _suite_series_enclosure(),
-        _suite_triangular_solve(min(s_max, 32)),
-        _suite_monotonicity(s_max),
+    suites = [
+        partial(_suite_method_agreement, s_max),
+        partial(_suite_documented_erratum, s_max),
+        partial(_suite_sum_identity_x0, s_max),
+        partial(_suite_sum_identity_x1, s_max),
+        partial(_suite_perm_diff, s_max),
+        partial(_suite_bernoulli, s_max),
+        partial(_suite_fourier_quadrature),
+        partial(_suite_partial_sum_convergence),
+        partial(_suite_series_enclosure),
+        partial(_suite_triangular_solve, min(s_max, 32)),
+        partial(_suite_monotonicity, s_max),
     ]
+    workers = min(_usable_cpus(), len(suites))
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        workers = 1
+    order = sorted(range(len(suites)), key=lambda i: _LONGEST_FIRST.index(suites[i].func))
+    claims, claims_in = os.pipe()
+    os.write(claims_in, bytes(order))
+    os.close(claims_in)
+    children = {}  # pid -> the read end of its result pipe
+    try:
+        for _ in range(workers - 1):
+            result_out, result_in = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: fewer workers share the claims
+                os.close(result_out)
+                os.close(result_in)
+                break
+            if pid == 0:
+                _work_in_child(suites, claims, result_in)
+            os.close(result_in)
+            children[pid] = open(result_out, "rb")
+        results = _claim(suites, claims)
+        for pid, source in children.items():
+            data = source.read()
+            if not data:
+                raise ChildProcessError(f"verify worker {pid} exited without a result")
+            outcome = pickle.loads(data)
+            if isinstance(outcome, BaseException):
+                raise outcome
+            results.update(outcome)
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(claims)
+        for pid, source in children.items():
+            source.close()
+            os.waitpid(pid, 0)
+    return [results[i] for i in range(len(suites))]

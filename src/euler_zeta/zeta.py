@@ -287,9 +287,10 @@ def euler_zeta_series(s: int, terms: int) -> DecimalApprox:
         ns = range(start, terms + 1, 2)
         if s == 1:
             # floor(floor(scale / n) / n) is the same floor; two divisions by
-            # an n below 2**30 (one CPython digit) beat one by n**2
-            return sum(map(floordiv, map(scale.__floordiv__, ns), ns))
-        return sum(map(scale.__floordiv__, map(pow, ns, repeat(exponent))))
+            # an n below 2**30 (one CPython digit) beat one by n**2; operator's
+            # floordiv over repeat(scale) skips the int method wrapper's call
+            return sum(map(floordiv, map(floordiv, repeat(scale), ns), ns))
+        return sum(map(floordiv, repeat(scale), map(pow, ns, repeat(exponent))))
 
     acc = floored_terms(1) - floored_terms(2)
     # n**exponent divides 10**work exactly when n = 2**a * 5**b with

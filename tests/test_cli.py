@@ -435,7 +435,9 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         added = set(ast.literal_eval(result.stdout))
-        deferred = {"dataclasses", "inspect", "json", "csv", "typing", "euler_zeta.verify"}
+        deferred = {
+            "dataclasses", "inspect", "json", "csv", "typing", "pickle", "euler_zeta.verify"
+        }
         assert added & deferred == set()
         verify = subprocess.run(
             [sys.executable, "-m", "euler_zeta", "verify", "--s-max", "2"],
