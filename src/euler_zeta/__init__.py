@@ -36,7 +36,6 @@ from .zeta import (
     euler_zeta_coefficients,
     euler_zeta_series,
     leeryoo_constant,
-    perm_diff,
     sum_identity_x0_lhs,
     sum_identity_x1_lhs,
     sum_identity_x1_rhs,
@@ -64,7 +63,6 @@ __all__ = [
     "fourier_coefficient_numeric",
     "leeryoo_constant",
     "partial_sum",
-    "perm_diff",
     "pi_decimal",
     "relation_at",
     "solve_triangular",

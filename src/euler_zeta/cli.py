@@ -1,11 +1,13 @@
 """Command line front end: values, tables, identities, verification, benchmarks.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 output
+pipe closed early (128 + SIGPIPE, as ``yes | head -1`` gives).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 import time
@@ -188,7 +190,11 @@ def _method_arg(text: str) -> Method:
 def _method_list_arg(text: str) -> list[Method]:
     if text == "all":
         return list(METHOD_ORDER)
-    return [_method_arg(part) for part in text.split(",")]
+    methods = [_method_arg(part) for part in text.split(",")]
+    for method in methods:
+        if methods.count(method) > 1:
+            raise argparse.ArgumentTypeError(f"method {method.value!r} is repeated")
+    return methods
 
 
 # ---------------------------------------------------------------------------
@@ -350,4 +356,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left (`| head -1`).  What stdout still buffers goes to
+        # devnull, so the flush at interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
+    return code

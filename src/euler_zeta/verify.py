@@ -25,7 +25,10 @@ closed-form coefficients and to have the printed right side -1/(2(2s+1))
 or ``sum_identity_x1_rhs(s)``; 9 requires the forward solves of the x = 0,
 1 and 2 systems to equal the closed-form zeta_E(2k)/pi**(2k) and
 zeta(2k)/pi**(2k), and each x = 2 relation to have the printed right side
-m/(2m+1).
+m/(2m+1).  Criterion 5 checks the differenced weight rows w_k(s) - w_k(s-1)
+of the expansion, which the new-theorem and Lee-Ryoo steps use, against
+the corollary's collapsed (-1)**(k+1) 2 (2s-2)! (2k-1)(2s-k) / (2s-2k+1)!
+for 1 <= k <= s.
 
 Each suite builds its own coefficient tables (``fresh=True``), so no suite
 reads a table another suite left behind.  The Bernoulli and pi memos are
@@ -53,7 +56,12 @@ from .exactmath import (
     eval_pi_polynomial,
     pi_decimal,
 )
-from .fourier import fourier_coefficient, fourier_coefficient_numeric, partial_sum
+from .fourier import (
+    _expansion_weights,
+    fourier_coefficient,
+    fourier_coefficient_numeric,
+    partial_sum,
+)
 from .relations import relation_at, solve_triangular
 from .zeta import (
     AGREEING_METHODS,
@@ -62,7 +70,6 @@ from .zeta import (
     euler_zeta_coefficients,
     euler_zeta_series,
     leeryoo_constant,
-    perm_diff,
     sum_identity_x1_rhs,
     zeta_even_closed_form,
 )
@@ -138,13 +145,14 @@ def _suite_sum_identity_x1(s_max: int) -> SuiteResult:
 
 
 def _suite_perm_diff(s_max: int) -> SuiteResult:
+    # One pair of rows per s; row s-1 has no k = s entry (P(2s-2, 2s-1) = 0).
+    # Cross-multiplied, (w_k(s) - w_k(s-1)) (2s-2k+1)! is an integer identity.
     ok = True
     for s in range(1, s_max + 1):
-        for k in range(1, s + 1):
-            closed = (
-                2 * math.factorial(2 * s - 2) * (2 * k - 1) * (2 * s - k)
-            ) // math.factorial(2 * s - 2 * k + 1)
-            if perm_diff(s, k) != closed:
+        pairs = zip(_expansion_weights(s), _expansion_weights(s - 1) + [0])
+        for k, (w, w_prev) in enumerate(pairs, start=1):
+            closed = 2 * math.factorial(2 * s - 2) * (2 * k - 1) * (2 * s - k)
+            if (w - w_prev) * math.factorial(2 * s - 2 * k + 1) != (-1) ** (k + 1) * closed:
                 ok = False
     return SuiteResult(
         "perm-diff", ok, f"factorial closed form for 1 <= k <= s <= {s_max}"

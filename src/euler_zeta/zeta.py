@@ -7,7 +7,7 @@ routes that must agree:
 
 * ``NEW_THEOREM``     - recurrence with constant 1/((2s-1)(2s+1)), obtained by
                         differencing the x=0 substitution identities.
-* ``COROLLARY``       - the same recurrence with the permutation difference
+* ``COROLLARY``       - the same recurrence with the differenced weights
                         collapsed into factorials.
 * ``LEERYOO_DERIVED`` - the Lee-Ryoo recurrence (built on the x=1 identities)
                         with its constant re-derived consistently.
@@ -16,6 +16,13 @@ routes that must agree:
                         (2s+1).  Kept as a documented erratum; this is the
                         only route allowed to disagree with the others.
 * ``CLOSED_FORM``     - Bernoulli-number closed form, the independent oracle.
+
+The new theorem and both Lee-Ryoo variants read the cosine expansion of
+x**(2m) from ``fourier._expansion_weights``, the one statement of its
+weights w_k(m) = (-1)**(k+1) P(2m, 2k-1): the relation at x = 0 (or x = 1)
+for m = s minus the one for m = s-1 weighs c_k by w_k(s) - w_k(s-1) (times
+4**-k at x = 1), and c_s is the one unknown left.  The corollary keeps its
+own factorial weights, so it stays an independent check of that difference.
 
 All recurrence arithmetic happens on the rational coefficients c_k with the
 pi powers cancelled symbolically; pi never enters an exact computation.
@@ -29,7 +36,7 @@ import threading
 from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
-from operator import floordiv
+from operator import floordiv, mul, sub
 
 from .exactmath import (
     DecimalApprox,
@@ -39,6 +46,7 @@ from .exactmath import (
     bernoulli,
     eval_pi_polynomial,
 )
+from .fourier import _expansion_weights
 from .relations import relation_at
 
 __all__ = [
@@ -53,7 +61,6 @@ __all__ = [
     "sum_identity_x0_lhs",
     "sum_identity_x1_lhs",
     "sum_identity_x1_rhs",
-    "perm_diff",
     "euler_zeta_series",
 ]
 
@@ -112,7 +119,7 @@ def euler_zeta_closed_form(s: int) -> EulerZetaValue:
 
 
 # ---------------------------------------------------------------------------
-# substitution-identity sums and the permutation difference
+# substitution-identity sums
 # ---------------------------------------------------------------------------
 
 
@@ -146,16 +153,6 @@ def sum_identity_x1_rhs(s: int) -> Fraction:
     return Fraction(2 * s + 1 - 2 ** (2 * s), (2 * s + 1) * 2 ** (2 * s + 1))
 
 
-def perm_diff(s: int, k: int) -> int:
-    """P(2s, 2k-1) - P(2s-2, 2k-1) for 1 <= k <= s.
-
-    Contract: equals 2 (2s-2)! (2k-1) (2s-k) / (2s-2k+1)! exactly.
-    """
-    if not 1 <= k <= s:
-        raise ValueError("need 1 <= k <= s")
-    return math.perm(2 * s, 2 * k - 1) - math.perm(2 * s - 2, 2 * k - 1)
-
-
 # ---------------------------------------------------------------------------
 # the recurrences
 # ---------------------------------------------------------------------------
@@ -184,36 +181,33 @@ def leeryoo_constant(s: int, variant: str = "derived") -> Fraction:
 
 
 def _next_coefficient(method: Method, s: int, prior: list[Fraction]) -> Fraction:
-    # prior holds c_1 .. c_{s-1}.
+    # prior holds c_1 .. c_{s-1}; every recurrence step is
+    # c_s = (-1)**s prefactor (constant + sum_k weight_k c_k).
     if method is Method.CLOSED_FORM:
         return euler_zeta_closed_form(s).coeff
     if s == 1:
         return Fraction(1, 12)  # the recurrences are stated for s >= 2
-    sign = -1 if s % 2 else 1
-    if method is Method.NEW_THEOREM:
-        acc = Fraction(1, (2 * s - 1) * (2 * s + 1))
-        for k in range(1, s):
-            delta = perm_diff(s, k)
-            term = prior[k - 1] * delta
-            acc -= -term if k % 2 else term
-        return Fraction(sign, math.factorial(2 * s)) * acc
     if method is Method.COROLLARY:
-        inner = Fraction(0)
-        for k in range(1, s):
-            term = prior[k - 1] * Fraction(
-                (2 * k - 1) * (2 * s - k), math.factorial(2 * s - 2 * k + 1)
-            )
-            inner += -term if k % 2 else term
-        acc = Fraction(1, math.factorial(2 * s + 1)) - inner / s
-        return Fraction(sign, 2 * s - 1) * acc
-    # Lee-Ryoo variants: the x=1 identity keeps a 4**-k weight inside the sum
-    # and a 4**s prefactor outside.
-    variant = "printed" if method is Method.LEERYOO_PRINTED else "derived"
-    acc = leeryoo_constant(s, variant)
-    for k in range(1, s):
-        term = prior[k - 1] * Fraction(perm_diff(s, k), 4**k)
-        acc -= -term if k % 2 else term
-    return Fraction(sign * 4**s, math.factorial(2 * s)) * acc
+        prefactor = Fraction(1, (2 * s - 1) * s)
+        constant = Fraction(s, math.factorial(2 * s + 1))
+        weights = [
+            Fraction((-1) ** (k + 1) * (2 * k - 1) * (2 * s - k), math.factorial(2 * s - 2 * k + 1))
+            for k in range(1, s)
+        ]
+    else:
+        # The x=0 (new theorem) or x=1 (Lee-Ryoo) relation at s minus the one
+        # at s-1; map stops at the shorter row.
+        weights = map(sub, _expansion_weights(s), _expansion_weights(s - 1))
+        prefactor = Fraction(1, math.factorial(2 * s))
+        if method is Method.NEW_THEOREM:
+            constant = Fraction(1, (2 * s - 1) * (2 * s + 1))
+        else:
+            # The x=1 relation keeps 4**-k inside the sum and 4**s outside.
+            variant = "printed" if method is Method.LEERYOO_PRINTED else "derived"
+            constant = leeryoo_constant(s, variant)
+            prefactor *= 4**s
+            weights = [Fraction(w, 4**k) for k, w in enumerate(weights, start=1)]
+    return (-1) ** s * prefactor * (constant + sum(map(mul, prior, weights)))
 
 
 def _extend(method: Method, table: list[Fraction], s_max: int) -> list[Fraction]:

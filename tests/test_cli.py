@@ -279,8 +279,13 @@ class TestTable:
         _emit_records(records, "json", stream)
         assert stream.getvalue() == out
 
-    def test_usage_error(self):
+    def test_usage_error(self, capsys):
         assert usage_error_code("table", "--s-max", "0") == 2
+        capsys.readouterr()
+        assert usage_error_code(
+            "table", "--s-max", "2", "--methods", "corollary,closed-form,corollary"
+        ) == 2
+        assert "method 'corollary' is repeated" in capsys.readouterr().err
 
 
 class TestIdentities:
@@ -447,6 +452,23 @@ class TestEntryPoint:
         )
         assert verify.returncode == 0
         assert verify.stdout.endswith(" suites passed\n")
+
+    def test_closed_pipe_exits_141_without_a_traceback(self):
+        # The reader leaves after one line, as `| head -1` does; the table
+        # (about 140 KB) does not fit in the pipe's buffer.
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        argv = ["table", "--s-max", "200", "--methods", "closed-form", "--format", "csv"]
+        with subprocess.Popen(
+            [sys.executable, "-m", "euler_zeta", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            assert proc.stdout.readline() == (",".join(CSV_HEADER) + "\n").encode()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.returncode == 141
+        assert b"Traceback" not in err
 
     def test_module_invocation_usage_error(self):
         result = subprocess.run(

@@ -68,10 +68,11 @@ CASES = {
     ),
     "sum-identity-x0": ("sum-identity-x0", "relation_at", _doubled_at((3, 0))),
     "sum-identity-x1": ("sum-identity-x1", "relation_at", _doubled_at((3, 1))),
+    # w_2(3) one too large.
     "perm-diff": (
         "perm-diff",
-        "perm_diff",
-        lambda f: lambda s, k: f(s, k) + ((s, k) == (3, 2)),
+        "_expansion_weights",
+        lambda f: lambda m: [w + ((m, k) == (3, 2)) for k, w in enumerate(f(m), 1)],
     ),
     "bernoulli-oracle": (
         "bernoulli-oracle",
@@ -193,11 +194,11 @@ class TestPool:
     def test_child_exception_is_reraised(self, monkeypatch):
         _children_claim_all(monkeypatch)
 
-        def perm_diff(s, k):
-            raise LookupError(f"planted at s={s}, k={k}")
+        def expansion_weights(m):
+            raise LookupError(f"planted at m={m}")
 
-        monkeypatch.setattr(verify, "perm_diff", perm_diff)
-        with pytest.raises(LookupError, match="planted at s=1, k=1"):
+        monkeypatch.setattr(verify, "_expansion_weights", expansion_weights)
+        with pytest.raises(LookupError, match="planted at m=1"):
             verify.run_all(4)
         _no_child_left()
 
@@ -214,10 +215,10 @@ class TestPool:
     def test_caller_exception_reaps_the_children(self, monkeypatch):
         monkeypatch.setattr(verify, "_usable_cpus", lambda: 4)
 
-        def perm_diff(s, k):
+        def expansion_weights(m):
             raise LookupError("planted")
 
-        monkeypatch.setattr(verify, "perm_diff", perm_diff)
+        monkeypatch.setattr(verify, "_expansion_weights", expansion_weights)
         with pytest.raises(LookupError, match="planted"):
             verify.run_all(4)
         _no_child_left()

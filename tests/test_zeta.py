@@ -6,6 +6,7 @@ import pytest
 
 from euler_zeta import zeta
 from euler_zeta.exactmath import DecimalApprox, _ceil_to_decimal, _decimal_from_scaled
+from euler_zeta.fourier import _expansion_weights
 from euler_zeta.zeta import (
     AGREEING_METHODS,
     Method,
@@ -15,7 +16,6 @@ from euler_zeta.zeta import (
     euler_zeta_coefficients,
     euler_zeta_series,
     leeryoo_constant,
-    perm_diff,
     sum_identity_x0_lhs,
     sum_identity_x1_lhs,
     sum_identity_x1_rhs,
@@ -156,17 +156,13 @@ class TestSumIdentities:
             assert sum_identity_x1_lhs(s) == sum_identity_x1_rhs(s)
 
 
-class TestPermDiff:
+class TestDifferencedWeights:
     def test_frozen_values(self):
-        assert perm_diff(2, 1) == 2
-        assert perm_diff(2, 2) == 24
-        assert perm_diff(3, 1) == 2
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            perm_diff(2, 3)
-        with pytest.raises(ValueError):
-            perm_diff(2, 0)
+        # w_k(s) - w_k(s-1), the weights of the new-theorem and Lee-Ryoo
+        # steps: (-1)**(k+1) (P(2s, 2k-1) - P(2s-2, 2k-1)).
+        rows = [_expansion_weights(m) for m in range(1, 4)]
+        assert [a - b for a, b in zip(rows[1], rows[0] + [0])] == [2, -24]
+        assert rows[2][0] - rows[1][0] == 2
 
 
 class TestSeries:

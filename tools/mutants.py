@@ -1,0 +1,173 @@
+"""Mutation check: every listed one-line fault must fail the tier-1 tests.
+
+Usage, from the repository root (about 70 s on two cores):
+
+    python tools/mutants.py
+
+The script copies the checkout, without ``.git`` and caches, to a temporary
+directory.  It first runs the tier-1 tests there unchanged, which must
+pass.  Then, for each mutant, it replaces the mutant's one source line (it
+must occur exactly once, so the list cannot go stale unnoticed), runs
+``python -m pytest -x -q`` with ``PYTHONPATH=src`` and restores the file.
+A mutant is killed when the tests fail or time out; the first failing
+test is printed.
+
+A mutant marked "equivalent in practice" is a fault no numeric test can
+see: its proof is a comment at its line.  It is only checked to apply, not
+run.  Exit status 0 when every other mutant is killed, else 1.  Standard
+library only.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from collections import namedtuple
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 600
+
+
+class Mutant(namedtuple("Mutant", "name path before after equivalent", defaults=(False,))):
+    """One fault: the line `before` in `path` replaced by `after`."""
+
+    __slots__ = ()
+
+
+MUTANTS = [
+    # The outward rounding of the enclosure arithmetic.
+    Mutant(
+        "scale_by upper end floored",
+        "src/euler_zeta/exactmath.py",
+        "    return num * lo // den, _ceil_div(num * hi, den)\n",
+        "    return num * lo // den, num * hi // den\n",
+    ),
+    Mutant(
+        "mul upper end floored",
+        "src/euler_zeta/exactmath.py",
+        "    return min(products) // scale, _ceil_div(max(products), scale)\n",
+        "    return min(products) // scale, max(products) // scale\n",
+    ),
+    Mutant(
+        "pi_sq_power reciprocal upper end floored",
+        "src/euler_zeta/exactmath.py",
+        "        power = square // power[1], _ceil_div(square, power[0])\n",
+        "        power = square // power[1], square // power[0]\n",
+    ),
+    Mutant(
+        "pi squared upper end floored",
+        "src/euler_zeta/exactmath.py",
+        "    base = pi_lo * pi_lo // scale, _ceil_div(pi_hi * pi_hi, scale)\n",
+        "    base = pi_lo * pi_lo // scale, pi_hi * pi_hi // scale\n",
+    ),
+    # The Machin series for pi.
+    Mutant(
+        "Machin tail unit dropped",
+        "src/euler_zeta/exactmath.py",
+        "    err_units = 1\n",
+        "    err_units = 0\n",
+    ),
+    Mutant(
+        "Machin error set to 0",
+        "src/euler_zeta/exactmath.py",
+        "            value, err = 16 * a5 - 4 * a239, 16 * e5 + 4 * e239\n",
+        "            value, err = 16 * a5 - 4 * a239, 0\n",
+    ),
+    # The precision loop: rounding lo alone, without Ziv's check that hi
+    # rounds the same way, can return a value rounded the wrong way.
+    Mutant(
+        "enclose rounds without Ziv's test",
+        "src/euler_zeta/exactmath.py",
+        "        if offset and nearest == (2 * hi + unit) // (2 * unit):\n",
+        "        if offset:\n",
+    ),
+    Mutant(
+        "quadrature quantisation term dropped",
+        "src/euler_zeta/fourier.py",
+        "    roundoff += Fraction(1, 2 * 10**quant)\n",
+        "    roundoff += 0\n",
+        equivalent=True,
+    ),
+    # The recurrence step shared by the new theorem and Lee-Ryoo.
+    Mutant(
+        "Lee-Ryoo weights without 4**-k",
+        "src/euler_zeta/zeta.py",
+        "            weights = [Fraction(w, 4**k) for k, w in enumerate(weights, start=1)]\n",
+        "            weights = [Fraction(w) for k, w in enumerate(weights, start=1)]\n",
+    ),
+    Mutant(
+        "recurrence sum sign flipped",
+        "src/euler_zeta/zeta.py",
+        "    return (-1) ** s * prefactor * (constant + sum(map(mul, prior, weights)))\n",
+        "    return (-1) ** s * prefactor * (constant - sum(map(mul, prior, weights)))\n",
+    ),
+]
+
+
+def _apply(mutant: Mutant, source: str) -> str:
+    """`source` with the mutant's line replaced; the line must occur once."""
+    found = source.count(mutant.before)
+    if found != 1:
+        raise ValueError(
+            f"{mutant.name}: {mutant.before.strip()!r} occurs {found} times in {mutant.path}"
+        )
+    return source.replace(mutant.before, mutant.after)
+
+
+def _first_failure(checkout: Path) -> str | None:
+    # None when the tests pass, else what failed first.
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    try:
+        result = subprocess.run(
+            command, cwd=checkout, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return f"timed out after {TIMEOUT_S} s"
+    if result.returncode == 0:
+        return None
+    failed = [line for line in result.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    return failed[0] if failed else f"pytest exit status {result.returncode}"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        checkout = Path(tmp) / "checkout"
+        shutil.copytree(
+            ROOT,
+            checkout,
+            ignore=shutil.ignore_patterns(
+                ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".perfbench-*",
+                "*.egg-info",
+            ),
+        )
+        originals = {m.path: (checkout / m.path).read_text() for m in MUTANTS}
+        mutated = [(m, _apply(m, originals[m.path])) for m in MUTANTS]
+        failure = _first_failure(checkout)
+        if failure:
+            print(f"the unmutated tests fail ({failure}); no mutant can be judged")
+            return 1
+        survivors = 0
+        for mutant, text in mutated:
+            if mutant.equivalent:
+                print(f"equivalent in practice (proof at its line)  {mutant.name}")
+                continue
+            target = checkout / mutant.path
+            target.write_text(text)
+            try:
+                failure = _first_failure(checkout)
+            finally:
+                target.write_text(originals[mutant.path])
+            survivors += failure is None
+            print(f"{'killed' if failure else 'SURVIVED'}  {mutant.name}: {failure}", flush=True)
+        checked = sum(not m.equivalent for m in MUTANTS)
+        print(f"{checked - survivors}/{checked} mutants killed")
+        return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
