@@ -16,9 +16,8 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from io import TextIOBase
 
-from .exactmath import PiPolynomial, eval_pi_polynomial
 from .relations import relation_at
-from .zeta import Method, euler_zeta_coefficients
+from .zeta import EulerZetaValue, Method, euler_zeta, euler_zeta_coefficients
 
 __all__ = [
     "OutputRecord",
@@ -86,11 +85,11 @@ def parse_exact(text: str) -> tuple[Fraction, int]:
     return Fraction(int(match[1]), int(match[2])), int(match[3])
 
 
-def _record(s: int, method: Method, digits: int | None) -> OutputRecord:
-    coeff = euler_zeta_coefficients(s, method)[-1]
+def _record(value: EulerZetaValue, method: Method, digits: int | None) -> OutputRecord:
+    s, coeff = value
     decimal = None
     if digits is not None:
-        decimal = str(eval_pi_polynomial(PiPolynomial({s: coeff}), digits).value)
+        decimal = str(value.decimal(digits).value)
     return OutputRecord(s, method.value, format_exact(coeff, 2 * s), decimal, digits)
 
 
@@ -205,17 +204,19 @@ def _method_list_arg(text: str) -> list[Method]:
 def _cmd_value(args: argparse.Namespace) -> int:
     if args.method is Method.LEERYOO_PRINTED:
         print(_ERRATUM_WARNING, file=sys.stderr)
-    _emit_records(_record(args.s, args.method, args.digits), args.format, sys.stdout)
+    value = euler_zeta(args.s, args.method)
+    _emit_records(_record(value, args.method, args.digits), args.format, sys.stdout)
     return 0
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     if any(m is Method.LEERYOO_PRINTED for m in args.methods):
         print(_ERRATUM_WARNING, file=sys.stderr)
+    tables = [euler_zeta_coefficients(args.s_max, method) for method in args.methods]
     records = [
-        _record(s, method, args.digits)
-        for s in range(1, args.s_max + 1)
-        for method in args.methods
+        _record(EulerZetaValue(s, coeff), method, args.digits)
+        for s, row in enumerate(zip(*tables), start=1)
+        for method, coeff in zip(args.methods, row)
     ]
     _emit_records(records, args.format, sys.stdout)
     return 0
@@ -266,7 +267,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         table: list[Fraction] = []
         for _ in range(args.repeats):
             start = time.perf_counter()
-            table = euler_zeta_coefficients(args.s_max, method, fresh=True)
+            table = euler_zeta_coefficients(args.s_max, method)
             best = min(best, time.perf_counter() - start)
         bits = max(
             max(c.numerator.bit_length(), c.denominator.bit_length()) for c in table

@@ -13,6 +13,7 @@ requested places, with bound one unit in the last place.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping
@@ -119,7 +120,7 @@ def _pi_interval(digits: int) -> tuple[int, int]:
     integer arithmetic, widened by the series' error in last-place units.
     The most precise enclosure is cached; a request for fewer digits floors
     its lo and ceils its hi, which keeps it an enclosure.  The error bound
-    of a fresh computation at very few digits exceeds pi itself; clipping to
+    of a new computation at very few digits exceeds pi itself; clipping to
     3 < pi < 4 keeps the enclosure positive there.
     """
     global _pi_best
@@ -197,8 +198,9 @@ class DecimalApprox(namedtuple("DecimalApprox", "value abs_error_bound")):
 class PiPolynomial:
     """Finite exact sum  sum_k c_k * pi**(2k)  with rational c_k.
 
-    Keys are exponents k of pi**2 and may be negative; zero coefficients are
-    never stored, so equality and hashing are structural.  Instances are
+    Keys are integer exponents k of pi**2 and may be negative (a key such as
+    1.5 raises TypeError instead of truncating); zero coefficients are never
+    stored, so equality and hashing are structural.  Instances are
     immutable.
     """
 
@@ -211,7 +213,7 @@ class PiPolynomial:
         acc: dict[int, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for k, c in items:
-            k = int(k)
+            k = operator.index(k)
             acc[k] = acc.get(k, Fraction(0)) + Fraction(c)
         object.__setattr__(
             self, "_terms", tuple(sorted((k, c) for k, c in acc.items() if c))

@@ -30,6 +30,7 @@ recurrence step.
 from __future__ import annotations
 
 import enum
+import operator
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
@@ -56,6 +57,7 @@ class DegenerateSystem(Exception):
 class LinearRelation:
     """Exact equation sum_k q_k * v_k = rhs over one zeta family.
 
+    Indices must be integers (2.7 raises TypeError instead of truncating).
     Zero coefficients are dropped; the surviving set must be non-empty and
     its largest index carries the relation's one new unknown.
     """
@@ -73,7 +75,7 @@ class LinearRelation:
             if isinstance(coefficients, Mapping)
             else coefficients
         )
-        exact = ((int(k), Fraction(q)) for k, q in items)
+        exact = ((operator.index(k), Fraction(q)) for k, q in items)
         cleaned = sorted((k, q) for k, q in exact if q)
         if not cleaned:
             raise ValueError("a relation needs at least one nonzero coefficient")

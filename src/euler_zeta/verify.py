@@ -30,10 +30,10 @@ of the expansion, which the new-theorem and Lee-Ryoo steps use, against
 the corollary's collapsed (-1)**(k+1) 2 (2s-2)! (2k-1)(2s-k) / (2s-2k+1)!
 for 1 <= k <= s.
 
-Each suite builds its own coefficient tables (``fresh=True``), so no suite
-reads a table another suite left behind.  The Bernoulli and pi memos are
-per process: ``run_all`` spreads the suites over forked workers, and which
-process runs a suite, and so which memos it finds filled, is not fixed.
+Each suite computes its own coefficient tables; no table outlives the
+call that asked for it.  The Bernoulli and pi memos are per process:
+``run_all`` spreads the suites over forked workers, and which process runs
+a suite, and so which memos it finds filled, is not fixed.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class SuiteResult(namedtuple("SuiteResult", "name passed detail")):
 
 def _suite_method_agreement(s_max: int) -> SuiteResult:
     tables = {
-        method: euler_zeta_coefficients(s_max, method, fresh=True)
+        method: euler_zeta_coefficients(s_max, method)
         for method in AGREEING_METHODS
     }
     reference = tables[Method.CLOSED_FORM]
@@ -103,8 +103,8 @@ def _suite_method_agreement(s_max: int) -> SuiteResult:
 
 
 def _suite_documented_erratum(s_max: int) -> SuiteResult:
-    printed = euler_zeta_coefficients(s_max, Method.LEERYOO_PRINTED, fresh=True)
-    reference = euler_zeta_coefficients(s_max, Method.CLOSED_FORM, fresh=True)
+    printed = euler_zeta_coefficients(s_max, Method.LEERYOO_PRINTED)
+    reference = euler_zeta_coefficients(s_max, Method.CLOSED_FORM)
     ok = printed[0] == reference[0]
     ok = ok and all(printed[s - 1] != reference[s - 1] for s in range(2, s_max + 1))
     if s_max >= 2:
@@ -126,7 +126,7 @@ def _suite_documented_erratum(s_max: int) -> SuiteResult:
 def _identity_holds(s_max: int, x: int, rhs: Callable[[int], Fraction]) -> bool:
     # One closed-form table serves the whole sweep: relation_at(s, x), derived
     # from the expansion, must balance it and have the printed right side rhs(s).
-    table = euler_zeta_coefficients(s_max, Method.CLOSED_FORM, fresh=True)
+    table = euler_zeta_coefficients(s_max, Method.CLOSED_FORM)
     for s in range(1, s_max + 1):
         relation = relation_at(s, x)
         if relation.residual(table) != 0 or relation.rhs != rhs(s):
@@ -241,9 +241,7 @@ def _suite_triangular_solve(s_max: int) -> SuiteResult:
     anchors = [Fraction(1, 6), Fraction(1, 90), Fraction(1, 945)]
     ok = ok and ordinary_expected[: len(anchors)] == anchors[:s_max]
     # One elimination step of the x=0 solve is the refined recurrence step.
-    ok = ok and solved[0] == euler_zeta_coefficients(
-        s_max, Method.NEW_THEOREM, fresh=True
-    )
+    ok = ok and solved[0] == euler_zeta_coefficients(s_max, Method.NEW_THEOREM)
     return SuiteResult(
         "triangular-solve", ok, f"x in {{0,1,2}} systems solve to closed forms, s <= {s_max}"
     )
@@ -254,7 +252,7 @@ def _suite_monotonicity(s_max: int) -> SuiteResult:
     # differ by roughly 4**-s, so past s ~ 49 a fixed 30-digit rendering
     # cannot separate them; the enclosure precision grows with s to keep
     # every comparison rigorous.
-    coefficients = euler_zeta_coefficients(s_max, Method.CLOSED_FORM, fresh=True)
+    coefficients = euler_zeta_coefficients(s_max, Method.CLOSED_FORM)
     ok = True
     previous_hi: Fraction | None = None
     for s, coeff in enumerate(coefficients, start=1):
@@ -271,7 +269,7 @@ def _suite_monotonicity(s_max: int) -> SuiteResult:
     )
 
 
-#: Claim order, longest first.  Seconds per suite, each run alone in a fresh
+#: Claim order, longest first.  Seconds per suite, each run alone in a new
 #: process (2 vCPU, Python 3.11.7), at --s-max 64 / 512:
 #:
 #:   method-agreement   0.10 / 47.1    monotonicity             0.05 / 11.5

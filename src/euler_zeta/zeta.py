@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import enum
 import math
-import threading
 from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
@@ -128,7 +127,7 @@ def _identity_lhs(s: int, x: int) -> Fraction:
     if s < 1:
         raise ValueError("s must be >= 1")
     relation = relation_at(s, x)
-    table = euler_zeta_coefficients(s, Method.CLOSED_FORM, fresh=True)
+    table = euler_zeta_coefficients(s, Method.CLOSED_FORM)
     return relation.residual(table) + relation.rhs
 
 
@@ -210,36 +209,19 @@ def _next_coefficient(method: Method, s: int, prior: list[Fraction]) -> Fraction
     return (-1) ** s * prefactor * (constant + sum(map(mul, prior, weights)))
 
 
-def _extend(method: Method, table: list[Fraction], s_max: int) -> list[Fraction]:
-    # Appends c_{len(table)+1} .. c_{s_max} to table in place.
-    for s in range(len(table) + 1, s_max + 1):
-        table.append(_next_coefficient(method, s, table))
-    return table
+def euler_zeta_coefficients(s_max: int, method: Method = Method.NEW_THEOREM) -> list[Fraction]:
+    """The coefficients c_1 .. c_{s_max} for one method, as a new list.
 
-
-# One table and one lock per method, so a long pass for one method never
-# blocks a request for another.
-_coeff_locks = {method: threading.Lock() for method in Method}
-_coeff_cache: dict[Method, list[Fraction]] = {method: [] for method in Method}
-
-
-def euler_zeta_coefficients(
-    s_max: int, method: Method = Method.NEW_THEOREM, *, fresh: bool = False
-) -> list[Fraction]:
-    """The coefficients c_1 .. c_{s_max} for one method.
-
-    Results are memoized per method (computing c_s caches every prefix
-    coefficient), so a table request is a single forward pass.  ``fresh``
-    bypasses and does not touch this table cache.  It is not fully cold: the
-    closed form still reads and fills the process-wide Bernoulli memo, so a
-    second fresh closed-form table skips the Bernoulli fill.
+    One forward pass: each c_s is computed from c_1 .. c_{s-1}.  Nothing is
+    kept between calls, so ask once for the largest s you need.  The closed
+    form reads and fills the process-wide Bernoulli memo.
     """
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
-    if fresh:
-        return _extend(method, [], s_max)
-    with _coeff_locks[method]:
-        return _extend(method, _coeff_cache[method], s_max)[:s_max]
+    table: list[Fraction] = []
+    for s in range(1, s_max + 1):
+        table.append(_next_coefficient(method, s, table))
+    return table
 
 
 def euler_zeta(s: int, method: Method = Method.NEW_THEOREM) -> EulerZetaValue:
@@ -247,6 +229,8 @@ def euler_zeta(s: int, method: Method = Method.NEW_THEOREM) -> EulerZetaValue:
 
     The recurrences are only stated from s = 2 on and take c_1 = 1/12 as
     their base; the closed form computes c_1 like every other coefficient.
+    Each call runs the recurrence from c_1, so for many values ask
+    :func:`euler_zeta_coefficients` once.
     """
     if s < 1:
         raise ValueError("s must be >= 1")

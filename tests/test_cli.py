@@ -228,6 +228,21 @@ class TestTable:
         assert len(records) == 10  # 5 methods x 2 values of s
         assert [r["method"] for r in records[:5]] == [m.value for m in METHOD_ORDER]
 
+    def test_one_table_per_method(self, capsys, monkeypatch):
+        # Each method's table comes from one forward pass, not one call per row.
+        calls = []
+        compute = cli.euler_zeta_coefficients
+
+        def counted(s_max, method):
+            calls.append((s_max, method))
+            return compute(s_max, method)
+
+        monkeypatch.setattr(cli, "euler_zeta_coefficients", counted)
+        code, out, _ = run_cli(capsys, "table", "--s-max", "20", "--methods", "all")
+        assert code == 0
+        assert len(out.splitlines()) == 100
+        assert calls == [(20, method) for method in METHOD_ORDER]
+
     def test_one_row_json_is_an_array(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--s-max", "1", "--format", "json")
         assert code == 0

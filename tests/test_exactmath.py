@@ -102,6 +102,11 @@ class TestPiPolynomial:
         p = PiPolynomial({1: Fraction(0), 2: Fraction(3, 4)})
         assert p.terms == {2: Fraction(3, 4)}
 
+    def test_non_integral_key_rejected(self):
+        # int() would truncate 1.5 to the pi**2 term
+        with pytest.raises(TypeError):
+            PiPolynomial({1.5: 1})
+
     def test_duplicate_keys_merge(self):
         p = PiPolynomial([(1, Fraction(1, 2)), (1, Fraction(1, 2))])
         assert p.terms == {1: Fraction(1)}

@@ -82,6 +82,11 @@ class TestLinearRelation:
         with pytest.raises(ValueError):
             LinearRelation(Family.EULER_ZETA, {0: Fraction(1)}, 1)
 
+    def test_non_integral_index_rejected(self):
+        # int() would truncate 2.7 to the unknown v_2
+        with pytest.raises(TypeError):
+            LinearRelation(Family.EULER_ZETA, {2.7: Fraction(1)}, 1)
+
     def test_residual(self):
         rel = LinearRelation(Family.EULER_ZETA, {1: Fraction(2)}, Fraction(1, 3))
         assert rel.residual([Fraction(1, 6)]) == 0

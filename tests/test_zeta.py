@@ -1,10 +1,10 @@
+import sys
 import threading
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from euler_zeta import zeta
 from euler_zeta.exactmath import DecimalApprox, _ceil_to_decimal, _decimal_from_scaled
 from euler_zeta.fourier import _expansion_weights
 from euler_zeta.zeta import (
@@ -91,26 +91,32 @@ class TestRecurrences:
         for method in AGREEING_METHODS:
             assert all(c > 0 for c in euler_zeta_coefficients(32, method))
 
-    def test_fresh_matches_memoized(self):
+    def test_table_is_a_prefix_of_a_longer_one(self):
         for method in Method:
-            assert euler_zeta_coefficients(12, method, fresh=True) == (
-                euler_zeta_coefficients(12, method)
+            assert euler_zeta_coefficients(12, method) == (
+                euler_zeta_coefficients(24, method)[:12]
             )
 
-    def test_methods_do_not_share_a_lock(self):
-        # A pass for one method must not hold up a request for another.
-        result = []
-        with zeta._coeff_locks[Method.NEW_THEOREM]:
-            worker = threading.Thread(
-                target=lambda: result.append(
-                    euler_zeta_coefficients(3, Method.CLOSED_FORM)
-                ),
-                daemon=True,
-            )
-            worker.start()
-            worker.join(timeout=5)
-            assert not worker.is_alive()
-        assert result == [[Fraction(1, 12), Fraction(7, 720), Fraction(31, 30240)]]
+    def test_concurrent_tables_agree(self):
+        # Tables share no state: four threads at once each get the full table.
+        results = []
+
+        def work():
+            results.append(euler_zeta_coefficients(40, Method.NEW_THEOREM))
+
+        workers = [threading.Thread(target=work, daemon=True) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=5)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        reference = euler_zeta_coefficients(40, Method.CLOSED_FORM)
+        assert results == [reference] * 4
 
     def test_domain(self):
         with pytest.raises(ValueError):
