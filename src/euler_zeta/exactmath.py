@@ -84,58 +84,65 @@ def bernoulli_akiyama_tanigawa(n: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 # pi as an enclosure of scaled integers
 # ---------------------------------------------------------------------------
+#
+# The Chudnovsky series: pi = 426880 sqrt(10005) / S, where, with
+# A = 13591409 and B = 545140134,
+#
+#   S = sum_{k>=0} (-1)**k (6k)! / ((3k)! k!**3) (A + B k) / 640320**(3k).
+#
+# Term k is term k-1 times -p_k / q_k (A + B k) / (A + B (k-1)), with
+# p_k = (6k-5)(2k-1)(6k-1) and q_k = k**3 640320**3 / 24, an integer.
 
 
-def _arctan_recip_scaled(x: int, scale: int) -> tuple[int, int]:
-    # arctan(1/x) * scale by the alternating series, floored term by term.
-    # Error budget, in last-place units: under one per computed term (its
-    # floor) and one for the tail.
-    total = 0
-    power = x
-    xx = x * x
-    k = 0
-    # The tail unit: the loop stops at the first term whose floor is 0, so
-    # that term is under one unit, and the terms of this alternating series
-    # decrease, so the omitted tail is smaller than its first term.
-    err_units = 1
-    while True:
-        term = scale // (power * (2 * k + 1))
-        if term == 0:
-            break
-        total += -term if k & 1 else term
-        err_units += 1
-        power *= xx
-        k += 1
-    return total, err_units
+def _chudnovsky_split(a: int, b: int) -> tuple[int, int, int]:
+    # Binary splitting (Haible & Papanikolaou) of terms a..b-1: P and Q are
+    # the products of p_k and q_k over a <= k < b (p_0 = q_0 = 1), and T / Q
+    # is the sum of those terms divided by p_1 ... p_{a-1} / q_1 ... q_{a-1}.
+    # So T(0, n) / Q(0, n) is the first n terms of S, exactly.
+    if b - a == 1:
+        if a == 0:
+            return 1, 1, 13591409
+        p = (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+        q = a**3 * 10939058860032000  # 640320**3 // 24
+        t = p * (13591409 + 545140134 * a)
+        return p, q, -t if a & 1 else t
+    mid = (a + b) // 2
+    p1, q1, t1 = _chudnovsky_split(a, mid)
+    p2, q2, t2 = _chudnovsky_split(mid, b)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
-_pi_lock = threading.Lock()
-_pi_best: tuple[int, int, int] = (0, 3, 4)  # (digits, lo, hi), most precise so far
+def _chudnovsky_sum(terms: int) -> tuple[int, int, int, int]:
+    """S = t / q +- tail_num / tail_den, from the first `terms` terms of S."""
+    _, q, t = _chudnovsky_split(0, terms)
+    # The tail bound.  p_k / q_k = 24 (6 - 5/k)(2 - 1/k)(6 - 1/k) / 640320**3
+    # < 1728 / 640320**3 = 1 / 53360**3, and (A + B k) / (A + B (k-1)) is at
+    # most (A + B) / A < 42, so each term is under 42 / 53360**3 < 1 times the
+    # one before in size.  The series alternates, so the omitted tail is at
+    # most its first term n in size: (A + B n) / 640320**(3n) times the
+    # product of p_k / q_k * 640320**3 over k <= n, below 1728**n.
+    return t, q, 13591409 + 545140134 * terms, 53360 ** (3 * terms)
 
 
 def _pi_interval(digits: int) -> tuple[int, int]:
-    """pi enclosed in units of 10**-digits, a few units wide.
+    """pi enclosed in units of 10**-digits: integers 0 < lo <= pi * 10**digits <= hi.
 
-    Machin's identity pi = 16 arctan(1/5) - 4 arctan(1/239) in scaled
-    integer arithmetic, widened by the series' error in last-place units.
-    The most precise enclosure is cached; a request for fewer digits floors
-    its lo and ceils its hi, which keeps it an enclosure.  The error bound
-    of a new computation at very few digits exceeds pi itself; clipping to
-    3 < pi < 4 keeps the enclosure positive there.
+    The Chudnovsky series, summed exactly by binary splitting.  Each term
+    adds more than 14 digits, and two terms beyond digits / 14 leave about
+    28 to spare.  With sqrt(10005) taken to `digits` places, the exact
+    enclosure is under 0.04 units wide; lo is floored and hi ceiled, so the
+    pair is at most two units wide.  Only integers are used.  Nothing is
+    cached and nothing is locked: each call computes pi anew.
     """
-    global _pi_best
-    with _pi_lock:
-        have, lo, hi = _pi_best
-        if have < digits:
-            scale = 10**digits
-            a5, e5 = _arctan_recip_scaled(5, scale)
-            a239, e239 = _arctan_recip_scaled(239, scale)
-            value, err = 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
-            have = digits
-            lo, hi = max(value - err, 3 * scale), min(value + err, 4 * scale)
-            _pi_best = (have, lo, hi)
-    drop = 10 ** (have - digits)
-    return lo // drop, _ceil_div(hi, drop)
+    t, q, tail_num, tail_den = _chudnovsky_sum(digits // 14 + 2)
+    # S lies in [s_lo, s_hi] / (q * tail_den), and sqrt(10005) * 10**digits
+    # in [root, root_hi]; both lower ends are positive.
+    s_lo, s_hi = t * tail_den - tail_num * q, t * tail_den + tail_num * q
+    square = 10005 * 10 ** (2 * digits)
+    root = math.isqrt(square)
+    root_hi = root + (root * root < square)
+    scale = 426880 * q * tail_den
+    return scale * root // s_hi, _ceil_div(scale * root_hi, s_lo)
 
 
 def _decimal_from_scaled(value: int, shift: int) -> Decimal:

@@ -31,9 +31,10 @@ the corollary's collapsed (-1)**(k+1) 2 (2s-2)! (2k-1)(2s-k) / (2s-2k+1)!
 for 1 <= k <= s.
 
 Each suite computes its own coefficient tables; no table outlives the
-call that asked for it.  The Bernoulli and pi memos are per process:
-``run_all`` spreads the suites over forked workers, and which process runs
-a suite, and so which memos it finds filled, is not fixed.
+call that asked for it.  pi is computed anew on each call; the one memo
+left is the Bernoulli table, which is per process: ``run_all`` spreads the
+suites over forked workers, and which process runs a suite, and so how much
+of the table it finds filled, is not fixed.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from fractions import Fraction
 from functools import partial
 
 from .exactmath import (
-    PiPolynomial,
     bernoulli,
     bernoulli_akiyama_tanigawa,
     eval_pi_polynomial,
@@ -65,6 +65,7 @@ from .fourier import (
 from .relations import relation_at, solve_triangular
 from .zeta import (
     AGREEING_METHODS,
+    EulerZetaValue,
     Method,
     euler_zeta_closed_form,
     euler_zeta_coefficients,
@@ -257,7 +258,7 @@ def _suite_monotonicity(s_max: int) -> SuiteResult:
     previous_hi: Fraction | None = None
     for s, coeff in enumerate(coefficients, start=1):
         digits = max(30, math.ceil(0.61 * 2 * s) + 12)
-        enclosure = eval_pi_polynomial(PiPolynomial({s: coeff}), digits)
+        enclosure = EulerZetaValue(s, coeff).decimal(digits)
         lo, hi = enclosure.bounds()
         if coeff <= 0 or hi >= 1:
             ok = False

@@ -5,7 +5,7 @@ import json
 import os
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -175,7 +175,8 @@ class TestInputLimits:
         assert usage_error_code("table", "--s-max", "2", "--digits", "10001") == 2
 
     def test_limits_are_inclusive(self):
-        # Parsing only: computing s = 512 takes longer than the whole suite.
+        # The s = 512 cases are parsed only: computing them takes longer than
+        # the whole suite.  The digit limit is computed at s = 1 below.
         parser = build_parser()
         args = parser.parse_args(
             ["value", "--s", "512", "--method", "closed-form", "--digits", "10000"]
@@ -184,6 +185,26 @@ class TestInputLimits:
         for command in ("table", "verify", "bench"):
             assert parser.parse_args([command, "--s-max", "512"]).s_max == 512
         assert parser.parse_args(["identities", "--m", "512", "--x", "1"]).m == 512
+
+    def test_digit_limit_is_computed(self, capsys):
+        mpmath = pytest.importorskip("mpmath")
+        code, out, _ = run_cli(
+            capsys, "value", "--s", "1", "--method", "closed-form", "--digits", "10000",
+            "--format", "json",
+        )
+        assert code == 0
+        record = json.loads(out)
+        assert (record["exact"], record["digits"]) == ("1/12 * pi^2", 10000)
+        assert len(record["decimal"].split(".")[1]) == 10000
+        # In units of 10**-10000, without str <-> int, which Python limits
+        # to 4300 digits.
+        printed = int(Decimal(record["decimal"]).scaleb(10000, Context(prec=10010)))
+        with mpmath.workdps(10020):
+            scaled = mpmath.pi**2 / 12 * mpmath.mpf(10) ** 10000
+            nearest = mpmath.nint(scaled)
+            # Far from a tie, so 10020 digits decide the rounding.
+            assert abs(scaled - nearest) < mpmath.mpf(1) / 2 - mpmath.mpf(10) ** -10
+            assert printed == int(nearest)
 
     @pytest.mark.parametrize("command", ["value", "table", "verify", "bench", "identities"])
     def test_help_names_the_limits(self, capsys, command):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from euler_zeta import exactmath
 from euler_zeta.exactmath import (
     PiPolynomial,
-    _arctan_recip_scaled,
+    _chudnovsky_sum,
     _pi_interval,
     _pi_sq_power,
     eval_pi_polynomial,
@@ -97,23 +97,27 @@ def _check_random_polynomials(poly, digits):
         assert nearest is None or Fraction(approx.value) == nearest
 
 
-@pytest.mark.parametrize("x", [5, 239])
-def test_arctan_series_error_is_within_its_count(x):
-    # Unclipped and uncached: the series against its own error count.
+@pytest.mark.parametrize("first", [1, 2], ids=["odd", "even"])
+def test_chudnovsky_tail_is_within_its_bound(first):
+    # Few terms, so the tail bound is all that separates the partial sum
+    # from S = 426880 sqrt(10005) / pi.  The series alternates: an odd
+    # number of terms ends on a positive one and overshoots S, an even
+    # number undershoots it, so each side of the bound is checked.
+    for terms in range(first, 31, 2):
+        t, q, tail_num, tail_den = _chudnovsky_sum(terms)
+        with mpmath.workdps(15 * terms + 40):
+            series = 426880 * mpmath.sqrt(10005) / mpmath.pi
+            error = _mpf(Fraction(t, q)) - series
+            assert (error > 0) == (terms % 2 == 1)
+            assert abs(error) <= _mpf(Fraction(tail_num, tail_den))
+
+
+def test_pi_interval_contains_pi():
     for digits in range(1, 301):
-        total, err_units = _arctan_recip_scaled(x, 10**digits)
-        with mpmath.workdps(digits + 30):
-            exact = mpmath.atan(mpmath.mpf(1) / x) * mpmath.mpf(10) ** digits
-            assert abs(total - exact) < err_units
-
-
-def test_pi_interval_truncated_from_a_wider_fill_contains_pi():
-    _pi_interval(200)  # later requests are cut down from this fill
-    assert exactmath._pi_best[0] >= 200
-    for digits in range(1, 61):
         lo, hi = _pi_interval(digits)
         scale = 10**digits
         assert 3 * scale <= lo <= hi <= 4 * scale
+        assert hi - lo <= 2
         with mpmath.workdps(digits + 30):
             scaled = mpmath.pi * mpmath.mpf(10) ** digits
             assert lo <= scaled <= hi

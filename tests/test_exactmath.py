@@ -1,5 +1,7 @@
 import math
 import random
+import threading
+import time
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from euler_zeta.exactmath import (
     DecimalApprox,
     PiPolynomial,
     _mul,
+    _pi_interval,
     _scale_by,
     bernoulli,
     bernoulli_akiyama_tanigawa,
@@ -95,6 +98,26 @@ class TestPiDecimal:
     def test_zero_digits_rejected(self):
         with pytest.raises(ValueError):
             pi_decimal(0)
+
+    def test_not_serialised_behind_a_long_computation(self):
+        # pi holds no shared state, so a short request does not wait for a
+        # 10**4-digit one running in another thread.
+        started = threading.Event()
+
+        def long_computation():
+            started.set()
+            _pi_interval(10**4)
+
+        worker = threading.Thread(target=long_computation, daemon=True)
+        worker.start()
+        assert started.wait(timeout=5)
+        begin = time.perf_counter()
+        approx = pi_decimal(20)
+        elapsed = time.perf_counter() - begin
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert approx.contains(PI_60)
+        assert elapsed < 0.1
 
 
 class TestPiPolynomial:

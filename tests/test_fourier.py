@@ -8,7 +8,6 @@ import pytest
 from euler_zeta.exactmath import (
     PiPolynomial,
     _enclose,
-    _pi_interval,
     _pi_sq_power,
     _scale_by,
     eval_pi_polynomial,
@@ -185,8 +184,6 @@ class TestPartialSum:
     @pytest.mark.parametrize("x", [0, 1, 2, -1, -2])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_equals_per_n_reference_loop(self, m, x):
-        # Both sides truncate one pi enclosure, wider than any work used here.
-        _pi_interval(400)
         for N in (1, 7, 100, 1000):
             for digits in (8, 12, 20):
                 expected = _reference_partial_sum(m, x, N, digits)

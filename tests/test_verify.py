@@ -105,8 +105,8 @@ CASES = {
     # One power of pi^2 too many.
     "monotonicity": (
         "monotonicity",
-        "PiPolynomial",
-        lambda f: lambda terms: f({k + 1: q for k, q in terms.items()}),
+        "EulerZetaValue",
+        lambda f: lambda s, coeff: f(s + 1, coeff),
     ),
 }
 

@@ -64,18 +64,18 @@ MUTANTS = [
         "    base = pi_lo * pi_lo // scale, _ceil_div(pi_hi * pi_hi, scale)\n",
         "    base = pi_lo * pi_lo // scale, pi_hi * pi_hi // scale\n",
     ),
-    # The Machin series for pi.
+    # The Chudnovsky enclosure of pi.
     Mutant(
-        "Machin tail unit dropped",
+        "tail bound dropped",
         "src/euler_zeta/exactmath.py",
-        "    err_units = 1\n",
-        "    err_units = 0\n",
+        "    return t, q, 13591409 + 545140134 * terms, 53360 ** (3 * terms)\n",
+        "    return t, q, 0, 53360 ** (3 * terms)\n",
     ),
     Mutant(
-        "Machin error set to 0",
+        "isqrt ceiling floored",
         "src/euler_zeta/exactmath.py",
-        "            value, err = 16 * a5 - 4 * a239, 16 * e5 + 4 * e239\n",
-        "            value, err = 16 * a5 - 4 * a239, 0\n",
+        "    root_hi = root + (root * root < square)\n",
+        "    root_hi = root\n",
     ),
     # The precision loop: rounding lo alone, without Ziv's check that hi
     # rounds the same way, can return a value rounded the wrong way.
