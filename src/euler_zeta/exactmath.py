@@ -275,16 +275,23 @@ def _scale_by(num: int, den: int, x: tuple[int, int]) -> tuple[int, int]:
     return num * lo // den, _ceil_div(num * hi, den)
 
 
-def _pi_sq_power(k: int, work: int) -> tuple[int, int]:
-    """pi**(2k) for any integer k, enclosed in units of 10**-work.
-
-    Repeated squaring of the pi**2 enclosure; a negative k takes one outward
-    reciprocal of the positive power at the end, which keeps its relative
-    error that of the positive power.
-    """
+def _pi_sq_interval(work: int) -> tuple[int, int]:
+    """pi**2 enclosed in units of 10**-work, from one pi enclosure."""
     scale = 10**work
     pi_lo, pi_hi = _pi_interval(work)
-    base = pi_lo * pi_lo // scale, _ceil_div(pi_hi * pi_hi, scale)
+    return pi_lo * pi_lo // scale, _ceil_div(pi_hi * pi_hi, scale)
+
+
+def _pi_sq_power(k: int, work: int, pi_sq: tuple[int, int]) -> tuple[int, int]:
+    """pi**(2k) for any integer k, enclosed in units of 10**-work.
+
+    Repeated squaring of pi_sq, the enclosure ``_pi_sq_interval(work)``,
+    which an evaluation computes once for all its terms; a negative k takes
+    one outward reciprocal of the positive power at the end, which keeps its
+    relative error that of the positive power.
+    """
+    scale = 10**work
+    base = pi_sq
     power = (scale, scale)
     e = abs(k)
     while e:
@@ -341,8 +348,9 @@ def eval_pi_polynomial(p: PiPolynomial, digits: int) -> DecimalApprox:
     """sum_k c_k * pi**(2k) correctly rounded to `digits` places, bound 10**-digits.
 
     Each term is an outward-rounded scaled-integer enclosure of pi**(2k)
-    multiplied by the exact rational c_k; see :func:`_enclose` for the
-    precision loop.  The empty sum is the exact 0 with bound 0.
+    multiplied by the exact rational c_k; all terms at one precision share
+    one pi**2 enclosure.  See :func:`_enclose` for the precision loop.  The
+    empty sum is the exact 0 with bound 0.
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -350,9 +358,10 @@ def eval_pi_polynomial(p: PiPolynomial, digits: int) -> DecimalApprox:
         return DecimalApprox(Decimal(0), Decimal(0))
 
     def evaluate(work: int) -> tuple[int, int]:
+        pi_sq = _pi_sq_interval(work)
         lo = hi = 0
         for k, c in p._terms:
-            t_lo, t_hi = _scale_by(c.numerator, c.denominator, _pi_sq_power(k, work))
+            t_lo, t_hi = _scale_by(c.numerator, c.denominator, _pi_sq_power(k, work, pi_sq))
             lo += t_lo
             hi += t_hi
         return lo, hi

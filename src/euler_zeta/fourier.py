@@ -21,6 +21,7 @@ from .exactmath import (
     _decimal_from_scaled,
     _enclose,
     _pi_interval,
+    _pi_sq_interval,
     _pi_sq_power,
     _scale_by,
 )
@@ -42,8 +43,15 @@ class QuadratureBudgetExceeded(RuntimeError):
 
 def _expansion_weights(m: int) -> list[int]:
     # w_k = (-1)**(k+1) P(2m, 2k-1) for k = 1..m: the one statement of the
-    # expansion, a_n = 2**(2m+1) (-1)**n sum_k w_k / (n pi)**(2k).
-    return [(-1) ** (k + 1) * math.perm(2 * m, 2 * k - 1) for k in range(1, m + 1)]
+    # expansion, a_n = 2**(2m+1) (-1)**n sum_k w_k / (n pi)**(2k).  Integers
+    # only, by the running product P(2m, 2k+1) = P(2m, 2k-1) (2m-2k+1)(2m-2k);
+    # the last factor, after w_m, is 0 and unused.
+    row = []
+    w = 2 * m  # P(2m, 1)
+    for k in range(1, m + 1):
+        row.append(w)
+        w *= -(2 * m - 2 * k + 1) * (2 * m - 2 * k)
+    return row
 
 
 def fourier_coefficient(m: int, n: int) -> PiPolynomial:
@@ -181,7 +189,8 @@ def partial_sum(
 
     def evaluate(work: int) -> tuple[int, int]:
         scale = 10**work
-        powers = [_pi_sq_power(-k, work) for k in range(1, m + 1)]
+        pi_sq = _pi_sq_interval(work)
+        powers = [_pi_sq_power(-k, work, pi_sq) for k in range(1, m + 1)]
         lo, hi = _scale_by(4**m, 2 * m + 1, (scale, scale))
         for n in range(1, N + 1):
             # cos(n pi x / 2) is 0 for odd n x, else (-1)**(n x / 2).

@@ -146,15 +146,24 @@ def _suite_sum_identity_x1(s_max: int) -> SuiteResult:
 
 
 def _suite_perm_diff(s_max: int) -> SuiteResult:
-    # One pair of rows per s; row s-1 has no k = s entry (P(2s-2, 2s-1) = 0).
-    # Cross-multiplied, (w_k(s) - w_k(s-1)) (2s-2k+1)! is an integer identity.
+    # One new row per s, differenced with the one before; row s-1 has no
+    # k = s entry (P(2s-2, 2s-1) = 0).  Cross-multiplied,
+    # (w_k(s) - w_k(s-1)) (2s-2k+1)! is an integer identity.  Both factorials
+    # are running products: 2 (2s-2)! over s, and (2s-2k+1)! over k = s..1.
     ok = True
+    previous: list[int] = []  # the m = 0 row is empty
+    scale = 2  # 2 (2s-2)!
     for s in range(1, s_max + 1):
-        pairs = zip(_expansion_weights(s), _expansion_weights(s - 1) + [0])
-        for k, (w, w_prev) in enumerate(pairs, start=1):
-            closed = 2 * math.factorial(2 * s - 2) * (2 * k - 1) * (2 * s - k)
-            if (w - w_prev) * math.factorial(2 * s - 2 * k + 1) != (-1) ** (k + 1) * closed:
+        row = _expansion_weights(s)
+        tail = 1  # (2s-2k+1)!
+        for k in range(s, 0, -1):
+            diff = row[k - 1] - (previous[k - 1] if k < s else 0)
+            closed = scale * (2 * k - 1) * (2 * s - k)
+            if diff * tail != (closed if k % 2 else -closed):
                 ok = False
+            tail *= (2 * s - 2 * k + 2) * (2 * s - 2 * k + 3)
+        previous = row
+        scale *= (2 * s - 1) * (2 * s)
     return SuiteResult(
         "perm-diff", ok, f"factorial closed form for 1 <= k <= s <= {s_max}"
     )
@@ -271,14 +280,14 @@ def _suite_monotonicity(s_max: int) -> SuiteResult:
 
 
 #: Claim order, longest first.  Seconds per suite, each run alone in a new
-#: process (2 vCPU, Python 3.11.7), at --s-max 64 / 512:
+#: process (2 vCPU, Python 3.11.7), the lower of two runs, at --s-max 64 / 512:
 #:
-#:   method-agreement   0.10 / 47.1    monotonicity             0.05 / 11.5
-#:   series-enclosure   0.27 /  0.21   bernoulli-oracle         0.05 /  0.04
-#:   documented-erratum 0.08 / 22.7    partial-sum-convergence  0.03 /  0.03
-#:   sum-identity-x1    0.09 / 21.9    triangular-solve         0.03 /  0.03
-#:   sum-identity-x0    0.07 / 17.0    fourier-quadrature       0.02 /  0.02
-#:   perm-diff          0.01 / 12.8
+#:   method-agreement   0.11 / 35.3    monotonicity             0.05 / 12.7
+#:   series-enclosure   0.24 /  0.23   bernoulli-oracle         0.05 /  0.05
+#:   sum-identity-x1    0.05 / 18.4    triangular-solve         0.03 /  0.04
+#:   documented-erratum 0.07 / 17.3    partial-sum-convergence  0.03 /  0.03
+#:   sum-identity-x0    0.07 / 14.9    fourier-quadrature       0.02 /  0.02
+#:   perm-diff          0.00 /  1.8
 #:
 #: At 512 about 12 s of each closed-form suite's figure is the Bernoulli
 #: fill, which a process pays once.  method-agreement leads at 512 and
@@ -286,14 +295,14 @@ def _suite_monotonicity(s_max: int) -> SuiteResult:
 _LONGEST_FIRST = (
     _suite_method_agreement,
     _suite_series_enclosure,
-    _suite_documented_erratum,
     _suite_sum_identity_x1,
+    _suite_documented_erratum,
     _suite_sum_identity_x0,
-    _suite_perm_diff,
     _suite_monotonicity,
+    _suite_perm_diff,
     _suite_bernoulli,
-    _suite_partial_sum_convergence,
     _suite_triangular_solve,
+    _suite_partial_sum_convergence,
     _suite_fourier_quadrature,
 )
 

@@ -21,8 +21,10 @@ The new theorem and both Lee-Ryoo variants read the cosine expansion of
 x**(2m) from ``fourier._expansion_weights``, the one statement of its
 weights w_k(m) = (-1)**(k+1) P(2m, 2k-1): the relation at x = 0 (or x = 1)
 for m = s minus the one for m = s-1 weighs c_k by w_k(s) - w_k(s-1) (times
-4**-k at x = 1), and c_s is the one unknown left.  The corollary keeps its
-own factorial weights, so it stays an independent check of that difference.
+4**-k at x = 1), and c_s is the one unknown left.  Every weight those steps
+multiply by is a plain int: at x = 1 the step's factor 4**s turns 4**-k into
+4**(s-k).  The corollary keeps its own factorial weights, so it stays an
+independent check of that difference.
 
 All recurrence arithmetic happens on the rational coefficients c_k with the
 pi powers cancelled symbolically; pi never enters an exact computation.
@@ -201,11 +203,12 @@ def _next_coefficient(method: Method, s: int, prior: list[Fraction]) -> Fraction
         if method is Method.NEW_THEOREM:
             constant = Fraction(1, (2 * s - 1) * (2 * s + 1))
         else:
-            # The x=1 relation keeps 4**-k inside the sum and 4**s outside.
+            # The x=1 relation weighs c_k by a further 4**-k, and its step
+            # carries 4**s outside the sum; 4**s goes into the constant and
+            # into the integer weights (w_k(s) - w_k(s-1)) 4**(s-k).
             variant = "printed" if method is Method.LEERYOO_PRINTED else "derived"
-            constant = leeryoo_constant(s, variant)
-            prefactor *= 4**s
-            weights = [Fraction(w, 4**k) for k, w in enumerate(weights, start=1)]
+            constant = leeryoo_constant(s, variant) * 4**s
+            weights = [w * 4 ** (s - k) for k, w in enumerate(weights, start=1)]
     return (-1) ** s * prefactor * (constant + sum(map(mul, prior, weights)))
 
 

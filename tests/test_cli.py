@@ -126,13 +126,13 @@ class TestCorrectRounding:
         real = exactmath._pi_sq_power
         calls = []
 
-        def straddling(k, work):
+        def straddling(k, work, pi_sq):
             calls.append(work)
             if len(calls) == 1:
                 centre = -(-9470328295 * 10 ** (work - 10) * 720 // 7)
                 width = 720 * 10 ** (work - 11)
                 return centre - width, centre + width
-            return real(k, work)
+            return real(k, work, pi_sq)
 
         monkeypatch.setattr(exactmath, "_pi_sq_power", straddling)
         code, out, _ = run_cli(

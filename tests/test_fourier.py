@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from euler_zeta import exactmath, fourier
 from euler_zeta.exactmath import (
     PiPolynomial,
     _enclose,
+    _pi_sq_interval,
     _pi_sq_power,
     _scale_by,
     eval_pi_polynomial,
@@ -16,6 +18,7 @@ from euler_zeta.exactmath import (
 from euler_zeta.fourier import (
     QuadratureBudgetExceeded,
     _coefficient_terms,
+    _expansion_weights,
     fourier_coefficient,
     fourier_coefficient_numeric,
     partial_sum,
@@ -33,7 +36,8 @@ def _reference_partial_sum(m, x, N, digits):
     # partial_sum must reproduce exactly.
     def evaluate(work):
         scale = 10**work
-        powers = [_pi_sq_power(-k, work) for k in range(1, m + 1)]
+        pi_sq = _pi_sq_interval(work)
+        powers = [_pi_sq_power(-k, work, pi_sq) for k in range(1, m + 1)]
         lo, hi = _scale_by(4**m, 2 * m + 1, (scale, scale))
         for n in range(1, N + 1):
             cos = (1, 0, -1, 0)[n * x % 4]  # cos(n pi x / 2) for integer x
@@ -56,6 +60,39 @@ def _reference_partial_sum(m, x, N, digits):
 def _pi_upper() -> Fraction:
     approx = pi_decimal(20)
     return Fraction(approx.value) + Fraction(approx.abs_error_bound)
+
+
+def test_expansion_weights_equal_their_definition():
+    # The running product against one math.perm per weight.
+    for m in [*range(101), 512]:
+        expected = [(-1) ** (k + 1) * math.perm(2 * m, 2 * k - 1) for k in range(1, m + 1)]
+        assert _expansion_weights(m) == expected
+
+
+def test_pi_once_per_evaluation(monkeypatch):
+    # Every evaluate(work) pass of the precision loop computes pi once,
+    # however many powers of pi**2 its terms need.
+    calls = []
+    passes = []
+    pi_interval, enclose = exactmath._pi_interval, exactmath._enclose
+
+    def counted_enclose(evaluate, digits):
+        def counted(work):
+            before = len(calls)
+            pair = evaluate(work)
+            passes.append(len(calls) - before)
+            return pair
+
+        return enclose(counted, digits)
+
+    monkeypatch.setattr(exactmath, "_pi_interval", lambda d: calls.append(d) or pi_interval(d))
+    monkeypatch.setattr(exactmath, "_enclose", counted_enclose)
+    monkeypatch.setattr(fourier, "_enclose", counted_enclose)
+    poly = PiPolynomial({-3: Fraction(5, 7), 0: 1, 2: Fraction(7, 720), 5: -1})
+    eval_pi_polynomial(poly, 40)
+    partial_sum(4, 1, 30, 25)
+    assert len(passes) >= 2
+    assert passes == [1] * len(passes)
 
 
 class TestExactCoefficients:

@@ -1,3 +1,5 @@
+import math
+import operator
 import sys
 import threading
 from decimal import Decimal
@@ -169,6 +171,24 @@ class TestDifferencedWeights:
         rows = [_expansion_weights(m) for m in range(1, 4)]
         assert [a - b for a, b in zip(rows[1], rows[0] + [0])] == [2, -24]
         assert rows[2][0] - rows[1][0] == 2
+
+    @pytest.mark.parametrize("method", [Method.LEERYOO_DERIVED, Method.LEERYOO_PRINTED])
+    def test_leeryoo_integer_weights_equal_quarter_fractions(self, method):
+        # The Lee-Ryoo step with 4**-k kept as one Fraction per term and 4**s
+        # outside the sum, as the x=1 relation states it.
+        variant = "printed" if method is Method.LEERYOO_PRINTED else "derived"
+        table = [Fraction(1, 12)]
+        for s in range(2, 65):
+            weights = [
+                Fraction(
+                    (-1) ** (k + 1) * (math.perm(2 * s, 2 * k - 1) - math.perm(2 * s - 2, 2 * k - 1)),
+                    4**k,
+                )
+                for k in range(1, s)
+            ]
+            total = leeryoo_constant(s, variant) + sum(map(operator.mul, table, weights))
+            table.append((-1) ** s * Fraction(4**s, math.factorial(2 * s)) * total)
+        assert euler_zeta_coefficients(64, method) == table
 
 
 class TestSeries:

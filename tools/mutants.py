@@ -61,8 +61,8 @@ MUTANTS = [
     Mutant(
         "pi squared upper end floored",
         "src/euler_zeta/exactmath.py",
-        "    base = pi_lo * pi_lo // scale, _ceil_div(pi_hi * pi_hi, scale)\n",
-        "    base = pi_lo * pi_lo // scale, pi_hi * pi_hi // scale\n",
+        "    return pi_lo * pi_lo // scale, _ceil_div(pi_hi * pi_hi, scale)\n",
+        "    return pi_lo * pi_lo // scale, pi_hi * pi_hi // scale\n",
     ),
     # The Chudnovsky enclosure of pi.
     Mutant(
@@ -92,12 +92,20 @@ MUTANTS = [
         "    roundoff += 0\n",
         equivalent=True,
     ),
+    # The expansion's weight row, which the relations, the Fourier
+    # coefficients and the new-theorem and Lee-Ryoo steps all read.
+    Mutant(
+        "expansion row factor off by one step",
+        "src/euler_zeta/fourier.py",
+        "        w *= -(2 * m - 2 * k + 1) * (2 * m - 2 * k)\n",
+        "        w *= -(2 * m - 2 * k + 1) * (2 * m - 2 * k + 2)\n",
+    ),
     # The recurrence step shared by the new theorem and Lee-Ryoo.
     Mutant(
         "Lee-Ryoo weights without 4**-k",
         "src/euler_zeta/zeta.py",
-        "            weights = [Fraction(w, 4**k) for k, w in enumerate(weights, start=1)]\n",
-        "            weights = [Fraction(w) for k, w in enumerate(weights, start=1)]\n",
+        "            weights = [w * 4 ** (s - k) for k, w in enumerate(weights, start=1)]\n",
+        "            weights = [w * 4**s for k, w in enumerate(weights, start=1)]\n",
     ),
     Mutant(
         "recurrence sum sign flipped",
