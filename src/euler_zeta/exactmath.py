@@ -7,7 +7,9 @@ decimal carrying an explicit absolute error bound (`DecimalApprox`).  Nothing
 here ever rounds silently.  On the way to a decimal, every value is carried
 as an outward-rounded integer pair in units of 10**-work, and one precision
 loop (`_enclose`) turns the pair into the value correctly rounded to the
-requested places, with bound one unit in the last place.
+requested places, with bound one unit in the last place.  Every sum of
+rational multiples of powers of pi, a `PiPolynomial` or the Fourier partial
+sums, goes through one evaluator (`_enclose_sum`).
 """
 
 from __future__ import annotations
@@ -344,26 +346,47 @@ def _enclose(evaluate: Callable[[int], tuple[int, int]], digits: int) -> Decimal
     return DecimalApprox(_decimal_from_scaled(nearest, digits), _decimal_from_scaled(1, digits))
 
 
-def eval_pi_polynomial(p: PiPolynomial, digits: int) -> DecimalApprox:
-    """sum_k c_k * pi**(2k) correctly rounded to `digits` places, bound 10**-digits.
+def _enclose_sum(
+    terms: Callable[[], Iterable[tuple[int, int, int]]], digits: int
+) -> DecimalApprox:
+    """sum num / den * pi**(2k) over the triples (k, num, den) of `terms()`.
 
-    Each term is an outward-rounded scaled-integer enclosure of pi**(2k)
-    multiplied by the exact rational c_k; all terms at one precision share
-    one pi**2 enclosure.  See :func:`_enclose` for the precision loop.  The
-    empty sum is the exact 0 with bound 0.
+    The one evaluator of sums of powers of pi; den > 0, and the same k may
+    recur.  Each pass of :func:`_enclose` calls `terms()` afresh, encloses
+    pi**2 once, each distinct pi**(2k) once by :func:`_pi_sq_power`, and
+    adds up the outward-rounded products.  A term negated through its num
+    gives the pair (-hi, -lo) of the term itself, so folding a sign into num
+    is exactly subtracting the term.
     """
-    if digits < 1:
-        raise ValueError("digits must be >= 1")
-    if not p:
-        return DecimalApprox(Decimal(0), Decimal(0))
 
     def evaluate(work: int) -> tuple[int, int]:
         pi_sq = _pi_sq_interval(work)
+        powers: dict[int, tuple[int, int]] = {}
         lo = hi = 0
-        for k, c in p._terms:
-            t_lo, t_hi = _scale_by(c.numerator, c.denominator, _pi_sq_power(k, work, pi_sq))
+        for k, num, den in terms():
+            power = powers.get(k)
+            if power is None:
+                power = powers[k] = _pi_sq_power(k, work, pi_sq)
+            t_lo, t_hi = _scale_by(num, den, power)
             lo += t_lo
             hi += t_hi
         return lo, hi
 
     return _enclose(evaluate, digits)
+
+
+def eval_pi_polynomial(p: PiPolynomial, digits: int) -> DecimalApprox:
+    """sum_k c_k * pi**(2k) correctly rounded to `digits` places, bound 10**-digits.
+
+    Each term is an outward-rounded scaled-integer enclosure of pi**(2k)
+    multiplied by the exact rational c_k; see :func:`_enclose_sum`, which
+    sums them, and :func:`_enclose` for the precision loop.  The empty sum
+    is the exact 0 with bound 0.
+    """
+    if digits < 1:
+        raise ValueError("digits must be >= 1")
+    if not p:
+        return DecimalApprox(Decimal(0), Decimal(0))
+    return _enclose_sum(
+        lambda: ((k, c.numerator, c.denominator) for k, c in p._terms), digits
+    )

@@ -1,9 +1,11 @@
 """Fourier cosine data for f(x) = x**(2m) on the fixed interval (-2, 2).
 
 The exact route writes each cosine coefficient a_n as a polynomial in
-pi**-2 with rational coefficients; the numeric routes (composite Boole
-quadrature with a proven a priori bound, enclosed partial sums) exist to
-validate it.
+pi**-2 with rational coefficients, stated once in `_coefficient_terms`; the
+numeric routes (composite Boole quadrature with a proven a priori bound,
+enclosed partial sums) exist to validate it.  A partial sum hands a_n's
+terms, signed by their cosines, to `exactmath`'s one evaluator of sums of
+powers of pi, the one `eval_pi_polynomial` uses.
 """
 
 from __future__ import annotations
@@ -19,11 +21,8 @@ from .exactmath import (
     DecimalApprox,
     PiPolynomial,
     _decimal_from_scaled,
-    _enclose,
+    _enclose_sum,
     _pi_interval,
-    _pi_sq_interval,
-    _pi_sq_power,
-    _scale_by,
 )
 
 __all__ = [
@@ -43,7 +42,8 @@ class QuadratureBudgetExceeded(RuntimeError):
 
 def _expansion_weights(m: int) -> list[int]:
     # w_k = (-1)**(k+1) P(2m, 2k-1) for k = 1..m: the one statement of the
-    # expansion, a_n = 2**(2m+1) (-1)**n sum_k w_k / (n pi)**(2k).  Integers
+    # expansion's weights, which _coefficient_terms turns into
+    # a_n = 2**(2m+1) (-1)**n sum_k w_k / (n pi)**(2k).  Integers
     # only, by the running product P(2m, 2k+1) = P(2m, 2k-1) (2m-2k+1)(2m-2k);
     # the last factor, after w_m, is 0 and unused.
     row = []
@@ -64,16 +64,19 @@ def fourier_coefficient(m: int, n: int) -> PiPolynomial:
         raise ValueError("m must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    return PiPolynomial(
-        {-k: Fraction(num, den) for k, num, den in _coefficient_terms(m, n)}
-    )
+    terms = _coefficient_terms(_expansion_weights(m), n)
+    return PiPolynomial((k, Fraction(num, den)) for k, num, den in terms)
 
 
-def _coefficient_terms(m: int, n: int) -> Iterator[tuple[int, int, int]]:
-    # (k, numerator, denominator) of the pi**(-2k) terms of a_n, unreduced.
-    base = 2 ** (2 * m + 1) * (-1 if n % 2 else 1)
-    for k, weight in enumerate(_expansion_weights(m), start=1):
-        yield k, weight * base, n ** (2 * k)
+def _coefficient_terms(row: list[int], n: int) -> Iterator[tuple[int, int, int]]:
+    # (k, numerator, denominator) of a_n's pi**(2k) terms, k = -1..-m,
+    # unreduced, from the row _expansion_weights(m): the one statement of
+    # a_n's scale 2**(2m+1), its sign (-1)**n and its denominators n**(2k).
+    scale = 2 ** (2 * len(row) + 1) * (-1 if n % 2 else 1)
+    n2 = den = n * n
+    for k, weight in enumerate(row, start=1):
+        yield -k, weight * scale, den
+        den *= n2
 
 
 def fourier_coefficient_numeric(
@@ -182,32 +185,17 @@ def partial_sum(
     if xq.denominator != 1 or abs(xq) > 2:
         raise ValueError("x must be an integer in [-2, 2]")
     xi = xq.numerator
+    row = _expansion_weights(m)
 
-    # a_n's pi**(-2k) weights depend on n only through its parity.
-    even_weights = [2 ** (2 * m + 1) * w for w in _expansion_weights(m)]
-    weights = ([-w for w in even_weights], even_weights)
-
-    def evaluate(work: int) -> tuple[int, int]:
-        scale = 10**work
-        pi_sq = _pi_sq_interval(work)
-        powers = [_pi_sq_power(-k, work, pi_sq) for k in range(1, m + 1)]
-        lo, hi = _scale_by(4**m, 2 * m + 1, (scale, scale))
+    def terms() -> Iterator[tuple[int, int, int]]:
+        yield 0, 4**m, 2 * m + 1
         for n in range(1, N + 1):
             # cos(n pi x / 2) is 0 for odd n x, else (-1)**(n x / 2).
             nx = n * xi
             if nx % 2:
                 continue
-            a_lo = a_hi = 0
-            n2 = den = n * n
-            for weight, power in zip(weights[n % 2 == 0], powers):
-                t_lo, t_hi = _scale_by(weight, den, power)
-                a_lo += t_lo
-                a_hi += t_hi
-                den *= n2
-            if nx % 4:
-                lo, hi = lo - a_hi, hi - a_lo
-            else:
-                lo, hi = lo + a_lo, hi + a_hi
-        return lo, hi
+            cos = -1 if nx % 4 else 1
+            for k, num, den in _coefficient_terms(row, n):
+                yield k, cos * num, den
 
-    return _enclose(evaluate, digits)
+    return _enclose_sum(terms, digits)

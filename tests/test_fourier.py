@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from euler_zeta import exactmath, fourier
+from euler_zeta import exactmath
 from euler_zeta.exactmath import (
     PiPolynomial,
     _enclose,
@@ -44,8 +44,8 @@ def _reference_partial_sum(m, x, N, digits):
             if cos == 0:
                 continue
             a_lo = a_hi = 0
-            for k, num, den in _coefficient_terms(m, n):
-                t_lo, t_hi = _scale_by(num, den, powers[k - 1])
+            for k, num, den in _coefficient_terms(_expansion_weights(m), n):
+                t_lo, t_hi = _scale_by(num, den, powers[-k - 1])
                 a_lo += t_lo
                 a_hi += t_hi
             if cos == 1:
@@ -87,7 +87,6 @@ def test_pi_once_per_evaluation(monkeypatch):
 
     monkeypatch.setattr(exactmath, "_pi_interval", lambda d: calls.append(d) or pi_interval(d))
     monkeypatch.setattr(exactmath, "_enclose", counted_enclose)
-    monkeypatch.setattr(fourier, "_enclose", counted_enclose)
     poly = PiPolynomial({-3: Fraction(5, 7), 0: 1, 2: Fraction(7, 720), 5: -1})
     eval_pi_polynomial(poly, 40)
     partial_sum(4, 1, 30, 25)
@@ -224,6 +223,22 @@ class TestPartialSum:
         for N in (1, 7, 100, 1000):
             for digits in (8, 12, 20):
                 expected = _reference_partial_sum(m, x, N, digits)
+                assert partial_sum(m, x, N, digits) == expected
+
+    @pytest.mark.parametrize("x", [-2, -1, 0, 1, 2])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_equals_pi_polynomial_of_its_terms(self, m, x):
+        # The same sum as one exact PiPolynomial: 4**m/(2m+1) plus each
+        # surviving a_n times its cosine (-1)**(n x / 2).  Both sides are
+        # correctly rounded, so they are equal.
+        for N in range(1, 7):
+            terms = [(0, Fraction(4**m, 2 * m + 1))]
+            for n in range(1, N + 1):
+                cos = (1, 0, -1, 0)[n * x % 4]
+                if cos:
+                    terms += [(k, cos * c) for k, c in fourier_coefficient(m, n).terms.items()]
+            for digits in (10, 30):
+                expected = eval_pi_polynomial(PiPolynomial(terms), digits)
                 assert partial_sum(m, x, N, digits) == expected
 
     def test_domain(self):

@@ -4,6 +4,9 @@ The golden files hold stdout of:
 
 * ``table --methods all --s-max 64 --digits 30 --format csv``
   (``golden/table_all_s64_d30.csv``);
+* ``table --s-max 8 --methods all --digits 30 --format json``
+  (``golden/table_all_s8_d30.json``), the bytes a streamed JSON table
+  must reproduce;
 * plain ``identities --m M --x X`` for M = 1..8 and X = 0, 1, 2, M outer,
   concatenated (``golden/identities_m1-8.txt``);
 * ``verify --s-max 4`` (``golden/verify_s4.txt``, compared in
@@ -45,6 +48,13 @@ def test_table_all_methods_to_s64_at_30_digits():
         ["table", "--methods", "all", "--s-max", "64", "--digits", "30", "--format", "csv"]
     )
     _assert_matches(out, "table_all_s64_d30.csv")
+
+
+def test_table_all_methods_to_s8_at_30_digits_as_json():
+    out = _stdout(
+        ["table", "--s-max", "8", "--methods", "all", "--digits", "30", "--format", "json"]
+    )
+    _assert_matches(out, "table_all_s8_d30.json")
 
 
 def test_identities_for_m_up_to_8():

@@ -100,6 +100,13 @@ MUTANTS = [
         "        w *= -(2 * m - 2 * k + 1) * (2 * m - 2 * k)\n",
         "        w *= -(2 * m - 2 * k + 1) * (2 * m - 2 * k + 2)\n",
     ),
+    # The cosine (-1)**(n x / 2) that signs each a_n of a partial sum.
+    Mutant(
+        "partial sum cosine sign dropped",
+        "src/euler_zeta/fourier.py",
+        "            cos = -1 if nx % 4 else 1\n",
+        "            cos = 1\n",
+    ),
     # The recurrence step shared by the new theorem and Lee-Ryoo.
     Mutant(
         "Lee-Ryoo weights without 4**-k",
