@@ -204,6 +204,20 @@ class DecimalApprox(namedtuple("DecimalApprox", "value abs_error_bound")):
         return lo <= Fraction(true_value) <= hi
 
 
+def _collect(
+    terms: Mapping[int, Fraction | int] | Iterable[tuple[int, Fraction | int]],
+) -> tuple[tuple[int, Fraction], ...]:
+    # The (index, coefficient) pairs sorted by index, the coefficients of a
+    # repeated index summed and zero sums dropped; operator.index rejects an
+    # index such as 1.5 instead of truncating it.
+    acc: dict[int, Fraction] = {}
+    items = terms.items() if isinstance(terms, Mapping) else terms
+    for k, c in items:
+        k, c = operator.index(k), Fraction(c)
+        acc[k] = acc[k] + c if k in acc else c
+    return tuple(sorted((k, c) for k, c in acc.items() if c))
+
+
 class PiPolynomial:
     """Finite exact sum  sum_k c_k * pi**(2k)  with rational c_k.
 
@@ -219,14 +233,7 @@ class PiPolynomial:
         self,
         terms: Mapping[int, Fraction | int] | Iterable[tuple[int, Fraction | int]] = (),
     ) -> None:
-        acc: dict[int, Fraction] = {}
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        for k, c in items:
-            k = operator.index(k)
-            acc[k] = acc.get(k, Fraction(0)) + Fraction(c)
-        object.__setattr__(
-            self, "_terms", tuple(sorted((k, c) for k, c in acc.items() if c))
-        )
+        object.__setattr__(self, "_terms", _collect(terms))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("PiPolynomial is immutable")

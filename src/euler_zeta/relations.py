@@ -30,10 +30,10 @@ recurrence step.
 from __future__ import annotations
 
 import enum
-import operator
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
+from .exactmath import _collect
 from .fourier import _expansion_weights
 
 __all__ = [
@@ -58,8 +58,10 @@ class LinearRelation:
     """Exact equation sum_k q_k * v_k = rhs over one zeta family.
 
     Indices must be integers (2.7 raises TypeError instead of truncating).
-    Zero coefficients are dropped; the surviving set must be non-empty and
-    its largest index carries the relation's one new unknown.
+    The coefficients of a repeated index are summed, as in
+    :class:`~euler_zeta.exactmath.PiPolynomial`, and zero ones are dropped;
+    the surviving set must be non-empty and its largest index carries the
+    relation's one new unknown.
     """
 
     __slots__ = ("family", "_coeffs", "rhs")
@@ -70,19 +72,13 @@ class LinearRelation:
         coefficients: Mapping[int, Fraction | int] | Iterable[tuple[int, Fraction | int]],
         rhs: Fraction | int,
     ) -> None:
-        items = (
-            coefficients.items()
-            if isinstance(coefficients, Mapping)
-            else coefficients
-        )
-        exact = ((operator.index(k), Fraction(q)) for k, q in items)
-        cleaned = sorted((k, q) for k, q in exact if q)
+        cleaned = _collect(coefficients)
         if not cleaned:
             raise ValueError("a relation needs at least one nonzero coefficient")
         if any(k < 1 for k, _ in cleaned):
             raise ValueError("unknown indices start at 1")
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "_coeffs", tuple(cleaned))
+        object.__setattr__(self, "_coeffs", cleaned)
         object.__setattr__(self, "rhs", Fraction(rhs))
 
     def __setattr__(self, name: str, value: object) -> None:

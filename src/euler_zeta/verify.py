@@ -25,10 +25,13 @@ closed-form coefficients and to have the printed right side -1/(2(2s+1))
 or ``sum_identity_x1_rhs(s)``; 9 requires the forward solves of the x = 0,
 1 and 2 systems to equal the closed-form zeta_E(2k)/pi**(2k) and
 zeta(2k)/pi**(2k), and each x = 2 relation to have the printed right side
-m/(2m+1).  Criterion 5 checks the differenced weight rows w_k(s) - w_k(s-1)
-of the expansion, which the new-theorem and Lee-Ryoo steps use, against
-the corollary's collapsed (-1)**(k+1) 2 (2s-2)! (2k-1)(2s-k) / (2s-2k+1)!
-for 1 <= k <= s.
+m/(2m+1).  Criterion 5 pins the expansion's weight rows, which every
+recurrence step reads, to the paper's printed factorial forms for
+1 <= k <= s: the differenced rows w_k(s) - w_k(s-1) of the new-theorem and
+Lee-Ryoo steps to (-1)**(k+1) 2 (2s-2)! (2k-1)(2s-k) / (2s-2k+1)!, and the
+corollary step's (2k-1)(2s-k) w_k(s) / (2s)! to its printed weight
+(-1)**(k+1) (2k-1)(2s-k) / (2s-2k+1)!.  Nowhere else in the package is
+that factorial form stated.
 
 Each suite computes its own coefficient tables; no table outlives the
 call that asked for it.  pi is computed anew on each call; the one memo
@@ -147,9 +150,14 @@ def _suite_sum_identity_x1(s_max: int) -> SuiteResult:
 
 def _suite_perm_diff(s_max: int) -> SuiteResult:
     # One new row per s, differenced with the one before; row s-1 has no
-    # k = s entry (P(2s-2, 2s-1) = 0).  Cross-multiplied,
-    # (w_k(s) - w_k(s-1)) (2s-2k+1)! is an integer identity.  Both factorials
-    # are running products: 2 (2s-2)! over s, and (2s-2k+1)! over k = s..1.
+    # k = s entry (P(2s-2, 2s-1) = 0).  Both printed weights share the
+    # numerator printed = (-1)**(k+1) (2k-1)(2s-k) over (2s-2k+1)!, so
+    # cross-multiplied each is an integer identity:
+    #   (w_k(s) - w_k(s-1)) (2s-2k+1)!  = 2 (2s-2)! printed,
+    #   (2k-1)(2s-k) w_k(s) (2s-2k+1)!  = (2s)! printed,
+    # the second checked with its nonzero factor (2k-1)(2s-k) cancelled.
+    # Both factorials are running products: 2 (2s-2)! over s, and
+    # (2s-2k+1)! over k = s..1; (2s)! is 2 (2s-2)! (2s-1) s.
     ok = True
     previous: list[int] = []  # the m = 0 row is empty
     scale = 2  # 2 (2s-2)!
@@ -158,8 +166,10 @@ def _suite_perm_diff(s_max: int) -> SuiteResult:
         tail = 1  # (2s-2k+1)!
         for k in range(s, 0, -1):
             diff = row[k - 1] - (previous[k - 1] if k < s else 0)
-            closed = scale * (2 * k - 1) * (2 * s - k)
-            if diff * tail != (closed if k % 2 else -closed):
+            sign = 1 if k % 2 else -1
+            if diff * tail != sign * scale * (2 * k - 1) * (2 * s - k):
+                ok = False
+            if row[k - 1] * tail != sign * scale * (2 * s - 1) * s:
                 ok = False
             tail *= (2 * s - 2 * k + 2) * (2 * s - 2 * k + 3)
         previous = row
@@ -282,16 +292,17 @@ def _suite_monotonicity(s_max: int) -> SuiteResult:
 #: Claim order, longest first.  Seconds per suite, each run alone in a new
 #: process (2 vCPU, Python 3.11.7), the lower of two runs, at --s-max 64 / 512:
 #:
-#:   method-agreement   0.11 / 35.3    monotonicity             0.05 / 12.7
+#:   method-agreement   0.06 / 17.2    monotonicity             0.05 / 12.7
 #:   series-enclosure   0.24 /  0.23   bernoulli-oracle         0.05 /  0.05
 #:   sum-identity-x1    0.05 / 18.4    triangular-solve         0.03 /  0.04
 #:   documented-erratum 0.07 / 17.3    partial-sum-convergence  0.03 /  0.03
 #:   sum-identity-x0    0.07 / 14.9    fourier-quadrature       0.02 /  0.02
-#:   perm-diff          0.00 /  1.8
+#:   perm-diff          0.00 /  2.5
 #:
 #: At 512 about 12 s of each closed-form suite's figure is the Bernoulli
-#: fill, which a process pays once.  method-agreement leads at 512 and
-#: series-enclosure at 64; the rest follow their cost at 512, then at 64.
+#: fill, which a process pays once.  method-agreement leads at 512 (level
+#: with sum-identity-x1) and series-enclosure at 64; the rest follow their
+#: cost at 512, then at 64.
 _LONGEST_FIRST = (
     _suite_method_agreement,
     _suite_series_enclosure,

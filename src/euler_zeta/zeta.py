@@ -17,14 +17,18 @@ routes that must agree:
                         only route allowed to disagree with the others.
 * ``CLOSED_FORM``     - Bernoulli-number closed form, the independent oracle.
 
-The new theorem and both Lee-Ryoo variants read the cosine expansion of
-x**(2m) from ``fourier._expansion_weights``, the one statement of its
-weights w_k(m) = (-1)**(k+1) P(2m, 2k-1): the relation at x = 0 (or x = 1)
-for m = s minus the one for m = s-1 weighs c_k by w_k(s) - w_k(s-1) (times
-4**-k at x = 1), and c_s is the one unknown left.  Every weight those steps
-multiply by is a plain int: at x = 1 the step's factor 4**s turns 4**-k into
-4**(s-k).  The corollary keeps its own factorial weights, so it stays an
-independent check of that difference.
+Every recurrence reads the cosine expansion of x**(2m) from
+``fourier._expansion_weights``, the one statement of its weights
+w_k(m) = (-1)**(k+1) P(2m, 2k-1).  The new theorem and both Lee-Ryoo
+variants take the relation at x = 0 (or x = 1) for m = s minus the one for
+m = s-1, which weighs c_k by w_k(s) - w_k(s-1) (times 4**-k at x = 1), and
+c_s is the one unknown left.  The corollary, with its (2s)! moved into the
+prefactor, weighs c_k by (2k-1)(2s-k) w_k(s), since
+P(2s, 2k-1)/(2s)! = 1/(2s-2k+1)!.  Every weight a step multiplies by is a
+plain int: at x = 1 the step's factor 4**s turns 4**-k into 4**(s-k).  The
+``perm-diff`` suite of ``verify`` pins these rows to the paper's printed
+factorial forms, and the closed form stays the independent route every
+recurrence is compared with.
 
 All recurrence arithmetic happens on the rational coefficients c_k with the
 pi powers cancelled symbolically; pi never enters an exact computation.
@@ -188,18 +192,18 @@ def _next_coefficient(method: Method, s: int, prior: list[Fraction]) -> Fraction
         return euler_zeta_closed_form(s).coeff
     if s == 1:
         return Fraction(1, 12)  # the recurrences are stated for s >= 2
+    row = _expansion_weights(s)
+    prefactor = Fraction(1, math.factorial(2 * s))
     if method is Method.COROLLARY:
-        prefactor = Fraction(1, (2 * s - 1) * s)
-        constant = Fraction(s, math.factorial(2 * s + 1))
-        weights = [
-            Fraction((-1) ** (k + 1) * (2 * k - 1) * (2 * s - k), math.factorial(2 * s - 2 * k + 1))
-            for k in range(1, s)
-        ]
+        # The printed step with (2s)! moved out of its sum: P(2s, 2k-1)/(2s)!
+        # is 1/(2s-2k+1)!, so each factorial weight is (2k-1)(2s-k) w_k(s)/(2s)!.
+        prefactor /= (2 * s - 1) * s
+        constant = Fraction(s, 2 * s + 1)
+        weights = ((2 * k - 1) * (2 * s - k) * w for k, w in enumerate(row, start=1))
     else:
         # The x=0 (new theorem) or x=1 (Lee-Ryoo) relation at s minus the one
         # at s-1; map stops at the shorter row.
-        weights = map(sub, _expansion_weights(s), _expansion_weights(s - 1))
-        prefactor = Fraction(1, math.factorial(2 * s))
+        weights = map(sub, row, _expansion_weights(s - 1))
         if method is Method.NEW_THEOREM:
             constant = Fraction(1, (2 * s - 1) * (2 * s + 1))
         else:
@@ -217,8 +221,12 @@ def euler_zeta_coefficients(s_max: int, method: Method = Method.NEW_THEOREM) -> 
 
     One forward pass: each c_s is computed from c_1 .. c_{s-1}.  Nothing is
     kept between calls, so ask once for the largest s you need.  The closed
-    form reads and fills the process-wide Bernoulli memo.
+    form reads and fills the process-wide Bernoulli memo.  A method that is
+    not a :class:`Method` member, such as its CLI spelling, raises TypeError.
     """
+    if not isinstance(method, Method):
+        members = ", ".join(map(str, Method))
+        raise TypeError(f"method must be one of {members}, not {method!r}")
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
     table: list[Fraction] = []

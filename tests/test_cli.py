@@ -437,6 +437,22 @@ class TestEntryPoint:
         assert result.returncode == 0
         assert result.stdout == "zeta_E(2) = 1/12 * pi^2\n"
 
+    def test_package_exports(self):
+        import euler_zeta
+
+        assert set(euler_zeta.__all__) == {
+            "AGREEING_METHODS", "DecimalApprox", "DegenerateSystem", "EulerZetaValue",
+            "Family", "LinearRelation", "Method", "PiPolynomial",
+            "QuadratureBudgetExceeded", "bernoulli", "bernoulli_akiyama_tanigawa",
+            "euler_zeta", "euler_zeta_closed_form", "euler_zeta_coefficients",
+            "euler_zeta_series", "eval_pi_polynomial", "fourier_coefficient",
+            "fourier_coefficient_numeric", "leeryoo_constant", "partial_sum",
+            "pi_decimal", "relation_at", "solve_triangular", "sum_identity_x0_lhs",
+            "sum_identity_x1_lhs", "sum_identity_x1_rhs", "zeta_even_closed_form",
+        }
+        assert len(euler_zeta.__all__) == 27
+        assert all(hasattr(euler_zeta, name) for name in euler_zeta.__all__)
+
     def test_import_leaves_numpy_unloaded(self):
         result = subprocess.run(
             [sys.executable, "-c", "import sys, euler_zeta.cli; print('numpy' in sys.modules)"],

@@ -78,6 +78,17 @@ class TestLinearRelation:
         with pytest.raises(ValueError):
             LinearRelation(Family.EULER_ZETA, {1: Fraction(0)}, 1)
 
+    def test_repeated_indices_summed(self):
+        rel = LinearRelation(Family.EULER_ZETA, [(1, 1), (1, 2)], 0)
+        assert rel.coefficients == {1: Fraction(3)}
+        assert rel.residual([Fraction(1)]) == 3
+        assert rel == LinearRelation(Family.EULER_ZETA, {1: 3}, 0)
+        assert solve_triangular([LinearRelation(Family.EULER_ZETA, [(1, 1), (1, 2)], 6)]) == [2]
+        cancelled = LinearRelation(Family.EULER_ZETA, [(1, 1), (2, 5), (1, -1)], 0)
+        assert cancelled.coefficients == {2: Fraction(5)}
+        with pytest.raises(ValueError):
+            LinearRelation(Family.EULER_ZETA, [(1, 1), (1, -1)], 0)
+
     def test_indices_start_at_one(self):
         with pytest.raises(ValueError):
             LinearRelation(Family.EULER_ZETA, {0: Fraction(1)}, 1)

@@ -123,6 +123,15 @@ class TestRecurrences:
     def test_domain(self):
         with pytest.raises(ValueError):
             euler_zeta(0, Method.CLOSED_FORM)
+
+    @pytest.mark.parametrize("method", ["leeryoo-printed", "nonsense", None])
+    def test_method_must_be_a_member(self, method):
+        # A CLI spelling or any other object is no Method, and must not run
+        # as some default route.
+        with pytest.raises(TypeError, match="Method.LEERYOO_PRINTED"):
+            euler_zeta_coefficients(3, method)
+        with pytest.raises(TypeError):
+            euler_zeta(3, method)
         with pytest.raises(ValueError):
             euler_zeta_coefficients(0, Method.CLOSED_FORM)
 
@@ -189,6 +198,24 @@ class TestDifferencedWeights:
             total = leeryoo_constant(s, variant) + sum(map(operator.mul, table, weights))
             table.append((-1) ** s * Fraction(4**s, math.factorial(2 * s)) * total)
         assert euler_zeta_coefficients(64, method) == table
+
+    def test_corollary_as_printed(self):
+        # The corollary's step exactly as the paper prints it: Fraction
+        # weights (-1)**(k+1) (2k-1)(2s-k) / (2s-2k+1)!, prefactor
+        # 1/((2s-1) s) and constant s/(2s+1)!.
+        table = [Fraction(1, 12)]
+        for s in range(2, 65):
+            weights = [
+                Fraction(
+                    (-1) ** (k + 1) * (2 * k - 1) * (2 * s - k),
+                    math.factorial(2 * s - 2 * k + 1),
+                )
+                for k in range(1, s)
+            ]
+            constant = Fraction(s, math.factorial(2 * s + 1))
+            total = constant + sum(map(operator.mul, table, weights))
+            table.append((-1) ** s * Fraction(1, (2 * s - 1) * s) * total)
+        assert euler_zeta_coefficients(64, Method.COROLLARY) == table
 
 
 class TestSeries:

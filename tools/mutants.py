@@ -93,7 +93,7 @@ MUTANTS = [
         equivalent=True,
     ),
     # The expansion's weight row, which the relations, the Fourier
-    # coefficients and the new-theorem and Lee-Ryoo steps all read.
+    # coefficients and every recurrence step read.
     Mutant(
         "expansion row factor off by one step",
         "src/euler_zeta/fourier.py",
@@ -107,7 +107,14 @@ MUTANTS = [
         "            cos = -1 if nx % 4 else 1\n",
         "            cos = 1\n",
     ),
-    # The recurrence step shared by the new theorem and Lee-Ryoo.
+    # The corollary's weight, read from the same row.
+    Mutant(
+        "corollary weight factor off by two",
+        "src/euler_zeta/zeta.py",
+        "        weights = ((2 * k - 1) * (2 * s - k) * w for k, w in enumerate(row, start=1))\n",
+        "        weights = ((2 * k + 1) * (2 * s - k) * w for k, w in enumerate(row, start=1))\n",
+    ),
+    # The Lee-Ryoo weights, and the step every recurrence shares.
     Mutant(
         "Lee-Ryoo weights without 4**-k",
         "src/euler_zeta/zeta.py",
