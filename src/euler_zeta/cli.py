@@ -1,5 +1,10 @@
 """Command line front end: values, tables, identities, verification, benchmarks.
 
+`value` and `table` hand `(EulerZetaValue, Method)` rows to one renderer,
+which writes plain text, CSV or JSON straight from each exact coefficient.
+`parse_exact` inverts the exact rendering for readers of the output; the
+CLI never re-parses what it prints.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 141 output
 pipe closed early (128 + SIGPIPE, as ``yes | head -1`` gives).
 """
@@ -11,8 +16,7 @@ import os
 import re
 import sys
 import time
-from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from io import TextIOBase
 
@@ -20,7 +24,6 @@ from .relations import relation_at
 from .zeta import EulerZetaValue, Method, euler_zeta, euler_zeta_coefficients
 
 __all__ = [
-    "OutputRecord",
     "CSV_HEADER",
     "METHOD_ORDER",
     "MAX_S",
@@ -54,17 +57,6 @@ _ERRATUM_WARNING = (
 )
 
 
-class OutputRecord(
-    namedtuple("OutputRecord", "s method exact decimal digits", defaults=(None, None))
-):
-    """One rendered value; `exact` is `num/den * pi^POWER` and round-trips.
-
-    `decimal` and `digits` are None unless a decimal rendering was asked for.
-    """
-
-    __slots__ = ()
-
-
 _EXACT_RE = re.compile(r"^(-?\d+)/(\d+) \* pi\^(-?\d+)$")
 
 
@@ -78,14 +70,6 @@ def parse_exact(text: str) -> tuple[Fraction, int]:
     if not match:
         raise ValueError(f"not an exact rendering: {text!r}")
     return Fraction(int(match[1]), int(match[2])), int(match[3])
-
-
-def _record(value: EulerZetaValue, method: Method, digits: int | None) -> OutputRecord:
-    s, coeff = value
-    decimal = None
-    if digits is not None:
-        decimal = str(value.decimal(digits).value)
-    return OutputRecord(s, method.value, format_exact(coeff, 2 * s), decimal, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -109,45 +93,37 @@ def _write_json(payload: object, out: TextIOBase) -> None:
     out.write("\n")
 
 
-def _record_json(record: OutputRecord) -> dict:
-    data: dict = {"s": record.s, "method": record.method, "exact": record.exact}
-    if record.decimal is not None:
-        data["decimal"] = record.decimal
-        data["digits"] = record.digits
-    return data
-
-
-def _record_csv_row(record: OutputRecord) -> list[str]:
-    coeff, pi_power = parse_exact(record.exact)
-    return [
-        str(record.s),
-        record.method,
-        str(coeff.numerator),
-        str(coeff.denominator),
-        str(pi_power),
-        record.decimal or "",
-    ]
-
-
-def _emit_records(
-    records: OutputRecord | Sequence[OutputRecord], fmt: str, out: TextIOBase
+def _write_values(
+    rows: Iterable[tuple[EulerZetaValue, Method]],
+    fmt: str,
+    digits: int | None,
+    out: TextIOBase,
+    single: bool = False,
 ) -> None:
-    """Render records; in JSON one record is an object and a sequence an array."""
-    single = isinstance(records, OutputRecord)
-    rows = [records] if single else records
-    if fmt == "plain":
-        for record in rows:
-            line = f"zeta_E({2 * record.s}) = {record.exact}"
-            if record.decimal is not None:
-                line += f" ~= {record.decimal}"
-            print(line, file=out)
-    elif fmt == "csv":
+    """Render each row from its exact coefficient, with a decimal when `digits` is set.
+
+    Plain and CSV rows are written as they are rendered.  JSON writes an
+    array, or with `single` the one row's object.
+    """
+    if fmt == "csv":
         writer = _csv_writer(out)
         writer.writerow(CSV_HEADER)
-        for record in rows:
-            writer.writerow(_record_csv_row(record))
-    else:
-        _write_json(_record_json(records) if single else [_record_json(r) for r in rows], out)
+    objects = []
+    for value, method in rows:
+        s, coeff = value
+        decimal = None if digits is None else str(value.decimal(digits).value)
+        if fmt == "csv":  # the writer prints None as an empty field
+            writer.writerow([s, method.value, coeff.numerator, coeff.denominator, 2 * s, decimal])
+        elif fmt == "plain":
+            suffix = "" if decimal is None else f" ~= {decimal}"
+            print(f"zeta_E({2 * s}) = {format_exact(coeff, 2 * s)}{suffix}", file=out)
+        else:
+            obj = {"s": s, "method": method.value, "exact": format_exact(coeff, 2 * s)}
+            if decimal is not None:
+                obj.update(decimal=decimal, digits=digits)
+            objects.append(obj)
+    if fmt == "json":
+        _write_json(objects[0] if single else objects, out)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +176,7 @@ def _cmd_value(args: argparse.Namespace) -> int:
     if args.method is Method.LEERYOO_PRINTED:
         print(_ERRATUM_WARNING, file=sys.stderr)
     value = euler_zeta(args.s, args.method)
-    _emit_records(_record(value, args.method, args.digits), args.format, sys.stdout)
+    _write_values([(value, args.method)], args.format, args.digits, sys.stdout, single=True)
     return 0
 
 
@@ -208,12 +184,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if any(m is Method.LEERYOO_PRINTED for m in args.methods):
         print(_ERRATUM_WARNING, file=sys.stderr)
     tables = [euler_zeta_coefficients(args.s_max, method) for method in args.methods]
-    records = [
-        _record(EulerZetaValue(s, coeff), method, args.digits)
+    rows = (
+        (EulerZetaValue(s, coeff), method)
         for s, row in enumerate(zip(*tables), start=1)
         for method, coeff in zip(args.methods, row)
-    ]
-    _emit_records(records, args.format, sys.stdout)
+    )
+    _write_values(rows, args.format, args.digits, sys.stdout)
     return 0
 
 

@@ -16,13 +16,13 @@ from euler_zeta import verify as verification
 from euler_zeta.cli import (
     CSV_HEADER,
     METHOD_ORDER,
-    OutputRecord,
-    _emit_records,
+    _write_values,
     build_parser,
     format_exact,
     main,
     parse_exact,
 )
+from euler_zeta.zeta import EulerZetaValue, Method
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -281,18 +281,9 @@ class TestTable:
         assert rows[0] == CSV_HEADER
         rebuilt = []
         for s, method, num, den, power, decimal in rows[1:]:
-            coeff = Fraction(int(num), int(den))
-            rebuilt.append(
-                OutputRecord(
-                    s=int(s),
-                    method=method,
-                    exact=format_exact(coeff, int(power)),
-                    decimal=decimal or None,
-                    digits=20 if decimal else None,
-                )
-            )
+            rebuilt.append((EulerZetaValue(int(s), Fraction(int(num), int(den))), Method(method)))
         stream = io.StringIO()
-        _emit_records(rebuilt, "csv", stream)
+        _write_values(rebuilt, "csv", 20, stream)
         assert stream.getvalue() == out
 
     def test_json_round_trip(self, capsys):
@@ -301,18 +292,12 @@ class TestTable:
             "--format", "json", "--digits", "12",
         )
         assert code == 0
-        records = [
-            OutputRecord(
-                s=r["s"],
-                method=r["method"],
-                exact=r["exact"],
-                decimal=r.get("decimal"),
-                digits=r.get("digits"),
-            )
-            for r in json.loads(out)
-        ]
+        rebuilt = []
+        for r in json.loads(out):
+            coeff, _ = parse_exact(r["exact"])
+            rebuilt.append((EulerZetaValue(r["s"], coeff), Method(r["method"])))
         stream = io.StringIO()
-        _emit_records(records, "json", stream)
+        _write_values(rebuilt, "json", 12, stream)
         assert stream.getvalue() == out
 
     def test_usage_error(self, capsys):

@@ -76,6 +76,12 @@ class TestBernoulli:
         expected = [Fraction(*mpmath.bernfrac(n)) for n in range(201)]
         assert bernoulli_akiyama_tanigawa(200) == expected
 
+    def test_main_route_matches_mpmath_to_400(self):
+        # The s <= 200 tables read every B_n up to n = 400.
+        mpmath = pytest.importorskip("mpmath")
+        for n in range(401):
+            assert bernoulli(n) == Fraction(*mpmath.bernfrac(n)), n
+
 
 class TestPiDecimal:
     @pytest.mark.parametrize("digits", [1, 5, 15, 30, 50])

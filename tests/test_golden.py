@@ -7,6 +7,10 @@ The golden files hold stdout of:
 * ``table --s-max 8 --methods all --digits 30 --format json``
   (``golden/table_all_s8_d30.json``), the bytes a streamed JSON table
   must reproduce;
+* ``table --s-max 8 --methods all --digits 30`` in plain text
+  (``golden/table_all_s8_d30.txt``);
+* ``value --s 5 --method closed-form --digits 25`` in plain text, CSV and
+  JSON (``golden/value_closed_form_s5_d25.{txt,csv,json}``);
 * plain ``identities --m M --x X`` for M = 1..8 and X = 0, 1, 2, M outer,
   concatenated (``golden/identities_m1-8.txt``);
 * ``verify --s-max 4`` (``golden/verify_s4.txt``, compared in
@@ -18,6 +22,8 @@ A refactoring that keeps behaviour must leave them unchanged.
 import contextlib
 import io
 from pathlib import Path
+
+import pytest
 
 from euler_zeta.cli import main
 
@@ -55,6 +61,19 @@ def test_table_all_methods_to_s8_at_30_digits_as_json():
         ["table", "--s-max", "8", "--methods", "all", "--digits", "30", "--format", "json"]
     )
     _assert_matches(out, "table_all_s8_d30.json")
+
+
+def test_table_all_methods_to_s8_at_30_digits_as_plain_text():
+    out = _stdout(["table", "--s-max", "8", "--methods", "all", "--digits", "30"])
+    _assert_matches(out, "table_all_s8_d30.txt")
+
+
+@pytest.mark.parametrize("fmt, suffix", [("plain", "txt"), ("csv", "csv"), ("json", "json")])
+def test_value_closed_form_s5_at_25_digits(fmt, suffix):
+    out = _stdout(
+        ["value", "--s", "5", "--method", "closed-form", "--digits", "25", "--format", fmt]
+    )
+    _assert_matches(out, f"value_closed_form_s5_d25.{suffix}")
 
 
 def test_identities_for_m_up_to_8():

@@ -39,6 +39,13 @@ class Mutant(namedtuple("Mutant", "name path before after equivalent", defaults=
 
 
 MUTANTS = [
+    # The Bernoulli fill that the closed forms and the oracles read.
+    Mutant(
+        "Bernoulli fill binomial one row low",
+        "src/euler_zeta/exactmath.py",
+        "                acc += math.comb(m + 1, k) * _bernoulli_cache[k]\n",
+        "                acc += math.comb(m, k) * _bernoulli_cache[k]\n",
+    ),
     # The outward rounding of the enclosure arithmetic.
     Mutant(
         "scale_by upper end floored",
