@@ -30,6 +30,7 @@ recurrence step.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
@@ -94,11 +95,17 @@ class LinearRelation:
         return self._coeffs[-1][0]
 
     def residual(self, values: Sequence[Fraction]) -> Fraction:
-        """sum_k q_k * values[k-1] - rhs; zero iff `values` satisfies it."""
-        acc = -self.rhs
+        """sum_k q_k * values[k-1] - rhs; zero iff `values` satisfies it.
+
+        The terms are summed as integer numerators over the lcm of their
+        denominators, so the call builds one ``Fraction``.
+        """
+        terms = [(-self.rhs.numerator, self.rhs.denominator)]
         for k, q in self._coeffs:
-            acc += q * values[k - 1]
-        return acc
+            v = values[k - 1]
+            terms.append((q.numerator * v.numerator, q.denominator * v.denominator))
+        common = math.lcm(*(den for _, den in terms))
+        return Fraction(sum(num * (common // den) for num, den in terms), common)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LinearRelation):

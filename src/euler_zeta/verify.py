@@ -290,30 +290,31 @@ def _suite_monotonicity(s_max: int) -> SuiteResult:
 
 
 #: Claim order, longest first.  Seconds per suite, each run alone in a new
-#: process (2 vCPU, Python 3.11.7), the lower of two runs, at --s-max 64 / 512:
+#: process (2 vCPU, Python 3.11.7), the lowest of two to four runs, at
+#: --s-max 64 / 512:
 #:
-#:   method-agreement   0.06 / 17.2    monotonicity             0.05 / 12.7
-#:   series-enclosure   0.24 /  0.23   bernoulli-oracle         0.05 /  0.05
-#:   sum-identity-x1    0.05 / 18.4    triangular-solve         0.03 /  0.04
-#:   documented-erratum 0.07 / 17.3    partial-sum-convergence  0.03 /  0.03
-#:   sum-identity-x0    0.07 / 14.9    fourier-quadrature       0.02 /  0.02
-#:   perm-diff          0.00 /  2.5
+#:   method-agreement   0.07 / 18.4    monotonicity             0.06 /  9.0
+#:   series-enclosure   0.26 /  0.17   bernoulli-oracle         0.05 /  0.04
+#:   sum-identity-x1    0.07 / 15.6    partial-sum-convergence  0.04 /  0.02
+#:   sum-identity-x0    0.06 / 13.9    triangular-solve         0.03 /  0.02
+#:   documented-erratum 0.06 / 13.8    fourier-quadrature       0.02 /  0.02
+#:   perm-diff          0.00 /  1.7
 #:
 #: At 512 about 12 s of each closed-form suite's figure is the Bernoulli
-#: fill, which a process pays once.  method-agreement leads at 512 (level
-#: with sum-identity-x1) and series-enclosure at 64; the rest follow their
-#: cost at 512, then at 64.
+#: fill, which a process pays once.  method-agreement leads at 512 and
+#: series-enclosure at 64; the rest follow their cost at 512 (sum-identity-x0
+#: and documented-erratum are level there), then at 64.
 _LONGEST_FIRST = (
     _suite_method_agreement,
     _suite_series_enclosure,
     _suite_sum_identity_x1,
-    _suite_documented_erratum,
     _suite_sum_identity_x0,
+    _suite_documented_erratum,
     _suite_monotonicity,
     _suite_perm_diff,
     _suite_bernoulli,
-    _suite_triangular_solve,
     _suite_partial_sum_convergence,
+    _suite_triangular_solve,
     _suite_fourier_quadrature,
 )
 

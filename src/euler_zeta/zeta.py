@@ -30,8 +30,12 @@ plain int: at x = 1 the step's factor 4**s turns 4**-k into 4**(s-k).  The
 factorial forms, and the closed form stays the independent route every
 recurrence is compared with.
 
-All recurrence arithmetic happens on the rational coefficients c_k with the
-pi powers cancelled symbolically; pi never enters an exact computation.
+A recurrence keeps its prior coefficients as integer numerators e_k over one
+common denominator L, c_k = e_k / L, so each step's weighted sum is a plain
+int sum and c_s comes from a fixed number of ``Fraction`` operations; L grows
+to lcm(L, denominator of c_s) when c_s needs it, and the numerators are then
+rescaled once.  The pi powers cancel symbolically; pi never enters an exact
+computation.
 """
 
 from __future__ import annotations
@@ -185,11 +189,9 @@ def leeryoo_constant(s: int, variant: str = "derived") -> Fraction:
     return Fraction(numerator, 2 ** (2 * s + 1) * (2 * s - 1) * last)
 
 
-def _next_coefficient(method: Method, s: int, prior: list[Fraction]) -> Fraction:
-    # prior holds c_1 .. c_{s-1}; every recurrence step is
-    # c_s = (-1)**s prefactor (constant + sum_k weight_k c_k).
-    if method is Method.CLOSED_FORM:
-        return euler_zeta_closed_form(s).coeff
+def _next_coefficient(method: Method, s: int, numerators: list[int], common: int) -> Fraction:
+    # numerators hold e_1 .. e_{s-1}, c_k = e_k / common; every recurrence step
+    # is c_s = (-1)**s prefactor (constant + sum_k weight_k c_k).
     if s == 1:
         return Fraction(1, 12)  # the recurrences are stated for s >= 2
     row = _expansion_weights(s)
@@ -213,7 +215,8 @@ def _next_coefficient(method: Method, s: int, prior: list[Fraction]) -> Fraction
             variant = "printed" if method is Method.LEERYOO_PRINTED else "derived"
             constant = leeryoo_constant(s, variant) * 4**s
             weights = [w * 4 ** (s - k) for k, w in enumerate(weights, start=1)]
-    return (-1) ** s * prefactor * (constant + sum(map(mul, prior, weights)))
+    total = Fraction(sum(map(mul, numerators, weights)), common)
+    return (-1) ** s * prefactor * (constant + total)
 
 
 def euler_zeta_coefficients(s_max: int, method: Method = Method.NEW_THEOREM) -> list[Fraction]:
@@ -229,9 +232,19 @@ def euler_zeta_coefficients(s_max: int, method: Method = Method.NEW_THEOREM) -> 
         raise TypeError(f"method must be one of {members}, not {method!r}")
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
+    if method is Method.CLOSED_FORM:
+        return [euler_zeta_closed_form(s).coeff for s in range(1, s_max + 1)]
     table: list[Fraction] = []
+    numerators: list[int] = []  # c_k = numerators[k-1] / common
+    common = 1
     for s in range(1, s_max + 1):
-        table.append(_next_coefficient(method, s, table))
+        coeff = _next_coefficient(method, s, numerators, common)
+        table.append(coeff)
+        grow = coeff.denominator // math.gcd(common, coeff.denominator)
+        if grow > 1:
+            numerators = [e * grow for e in numerators]
+            common *= grow
+        numerators.append(coeff.numerator * (common // coeff.denominator))
     return table
 
 

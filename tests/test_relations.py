@@ -103,6 +103,16 @@ class TestLinearRelation:
         assert rel.residual([Fraction(1, 6)]) == 0
         assert rel.residual([Fraction(1, 3)]) == Fraction(1, 3)
 
+    @pytest.mark.parametrize("x", [0, 1, 2])
+    def test_residual_equals_the_term_by_term_sum(self, x):
+        # Unlike denominators that share factors, an int value and a nonzero
+        # result: the common-denominator sum must equal Fraction additions.
+        values = [Fraction(1, 12), Fraction(7, 720), Fraction(-5, 9), 4]
+        rel = relation_at(4, x)
+        expected = sum(q * values[k - 1] for k, q in rel.coefficients.items()) - rel.rhs
+        assert expected != 0
+        assert rel.residual(values) == expected
+
     def test_equality(self):
         a = relation_at(2, 0)
         b = relation_at(2, 0)

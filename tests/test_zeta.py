@@ -89,6 +89,17 @@ class TestRecurrences:
         assert printed[0] == reference[0]
         assert all(printed[s - 1] != reference[s - 1] for s in range(2, 25))
 
+    def test_recurrences_against_closed_form_through_128(self):
+        # Past s = 100 the common denominator of c_1 .. c_{s-1} has grown
+        # many times, so every rescaling of the kernel's numerators is on
+        # the path.
+        reference = euler_zeta_coefficients(128, Method.CLOSED_FORM)
+        for method in (Method.NEW_THEOREM, Method.COROLLARY, Method.LEERYOO_DERIVED):
+            assert euler_zeta_coefficients(128, method) == reference
+        printed = euler_zeta_coefficients(128, Method.LEERYOO_PRINTED)
+        assert printed[0] == reference[0]
+        assert all(printed[s - 1] != reference[s - 1] for s in range(2, 129))
+
     def test_coefficients_positive(self):
         for method in AGREEING_METHODS:
             assert all(c > 0 for c in euler_zeta_coefficients(32, method))
@@ -180,6 +191,24 @@ class TestDifferencedWeights:
         rows = [_expansion_weights(m) for m in range(1, 4)]
         assert [a - b for a, b in zip(rows[1], rows[0] + [0])] == [2, -24]
         assert rows[2][0] - rows[1][0] == 2
+
+    def test_new_theorem_term_by_term(self):
+        # The new theorem's step with one reduced Fraction weight per term,
+        # (-1)**(k+1) (P(2s, 2k-1) - P(2s-2, 2k-1)) / (2s)!, and constant
+        # 1/((2s-1)(2s+1)(2s)!), summed term by term over reduced Fractions.
+        table = [Fraction(1, 12)]
+        for s in range(2, 65):
+            weights = [
+                Fraction(
+                    (-1) ** (k + 1) * (math.perm(2 * s, 2 * k - 1) - math.perm(2 * s - 2, 2 * k - 1)),
+                    math.factorial(2 * s),
+                )
+                for k in range(1, s)
+            ]
+            constant = Fraction(1, (2 * s - 1) * (2 * s + 1) * math.factorial(2 * s))
+            total = constant + sum(map(operator.mul, table, weights))
+            table.append((-1) ** s * total)
+        assert euler_zeta_coefficients(64, Method.NEW_THEOREM) == table
 
     @pytest.mark.parametrize("method", [Method.LEERYOO_DERIVED, Method.LEERYOO_PRINTED])
     def test_leeryoo_integer_weights_equal_quarter_fractions(self, method):

@@ -121,7 +121,7 @@ MUTANTS = [
         "        weights = ((2 * k - 1) * (2 * s - k) * w for k, w in enumerate(row, start=1))\n",
         "        weights = ((2 * k + 1) * (2 * s - k) * w for k, w in enumerate(row, start=1))\n",
     ),
-    # The Lee-Ryoo weights, and the step every recurrence shares.
+    # The Lee-Ryoo weights, and the sum every recurrence step shares.
     Mutant(
         "Lee-Ryoo weights without 4**-k",
         "src/euler_zeta/zeta.py",
@@ -131,8 +131,16 @@ MUTANTS = [
     Mutant(
         "recurrence sum sign flipped",
         "src/euler_zeta/zeta.py",
-        "    return (-1) ** s * prefactor * (constant + sum(map(mul, prior, weights)))\n",
-        "    return (-1) ** s * prefactor * (constant - sum(map(mul, prior, weights)))\n",
+        "    total = Fraction(sum(map(mul, numerators, weights)), common)\n",
+        "    total = Fraction(-sum(map(mul, numerators, weights)), common)\n",
+    ),
+    # The common denominator of the recurrence tables: when it grows, every
+    # numerator already kept must be scaled with it.
+    Mutant(
+        "numerators not rescaled when the common denominator grows",
+        "src/euler_zeta/zeta.py",
+        "            numerators = [e * grow for e in numerators]\n",
+        "            pass\n",
     ),
 ]
 
