@@ -40,18 +40,36 @@ class QuadratureBudgetExceeded(RuntimeError):
     """tol lies below the quadrature's roundoff floor or needs too many panels."""
 
 
+def _expansion_ratios(m: int) -> list[int]:
+    # r_k = (2m-2k+1)(2m-2k) for k = 1..m, the one statement of the running
+    # product w_{k+1} = -r_k w_k that _expansion_weights and _expansion_sum
+    # both read; r_m, after w_m, is 0 and unused.
+    return list(map(mul, range(2 * m - 1, 0, -2), range(2 * m - 2, -1, -2)))
+
+
 def _expansion_weights(m: int) -> list[int]:
-    # w_k = (-1)**(k+1) P(2m, 2k-1) for k = 1..m: the one statement of the
-    # expansion's weights, which _coefficient_terms turns into
-    # a_n = 2**(2m+1) (-1)**n sum_k w_k / (n pi)**(2k).  Integers
-    # only, by the running product P(2m, 2k+1) = P(2m, 2k-1) (2m-2k+1)(2m-2k);
-    # the last factor, after w_m, is 0 and unused.
+    # w_k = (-1)**(k+1) P(2m, 2k-1) for k = 1..m: the expansion's weights,
+    # which _coefficient_terms turns into
+    # a_n = 2**(2m+1) (-1)**n sum_k w_k / (n pi)**(2k).  Integers only,
+    # from w_1 = P(2m, 1) = 2m by the ratios of _expansion_ratios.
     row = []
-    w = 2 * m  # P(2m, 1)
-    for k in range(1, m + 1):
+    w = 2 * m
+    for ratio in _expansion_ratios(m):
         row.append(w)
-        w *= -(2 * m - 2 * k + 1) * (2 * m - 2 * k)
+        w *= -ratio
     return row
+
+
+def _expansion_sum(m: int, values: list[int]) -> int:
+    # sum_k w_k(m) values[k-1] for k = 1..min(m, len(values)) without the
+    # row: by Horner's rule, 2m (v_1 - r_1 (v_2 - r_2 (v_3 - ...))), so each
+    # step multiplies the accumulator by one small ratio, never by a weight.
+    count = min(m, len(values))
+    ratios = _expansion_ratios(m)[:count]
+    acc = 0
+    for value, ratio in zip(reversed(values[:count]), reversed(ratios)):
+        acc = value - ratio * acc
+    return 2 * m * acc
 
 
 def fourier_coefficient(m: int, n: int) -> PiPolynomial:

@@ -25,11 +25,12 @@ closed-form coefficients and to have the printed right side -1/(2(2s+1))
 or ``sum_identity_x1_rhs(s)``; 9 requires the forward solves of the x = 0,
 1 and 2 systems to equal the closed-form zeta_E(2k)/pi**(2k) and
 zeta(2k)/pi**(2k), and each x = 2 relation to have the printed right side
-m/(2m+1).  Criterion 5 pins the expansion's weight rows, which every
-recurrence step reads, to the paper's printed factorial forms for
-1 <= k <= s: the differenced rows w_k(s) - w_k(s-1) of the new-theorem and
-Lee-Ryoo steps to (-1)**(k+1) 2 (2s-2)! (2k-1)(2s-k) / (2s-2k+1)!, and the
-corollary step's (2k-1)(2s-k) w_k(s) / (2s)! to its printed weight
+m/(2m+1).  Criterion 5 pins the expansion's weight rows, which share their
+ratios with the Horner sum that every recurrence step reads in place of a
+row, to the paper's printed factorial forms for 1 <= k <= s: the
+differenced rows w_k(s) - w_k(s-1) of the new-theorem and Lee-Ryoo steps
+to (-1)**(k+1) 2 (2s-2)! (2k-1)(2s-k) / (2s-2k+1)!, and the corollary
+step's (2k-1)(2s-k) w_k(s) / (2s)! to its printed weight
 (-1)**(k+1) (2k-1)(2s-k) / (2s-2k+1)!.  Nowhere else in the package is
 that factorial form stated.
 
@@ -290,27 +291,28 @@ def _suite_monotonicity(s_max: int) -> SuiteResult:
 
 
 #: Claim order, longest first.  Seconds per suite, each run alone in a new
-#: process (2 vCPU, Python 3.11.7), the lowest of two to four runs, at
-#: --s-max 64 / 512:
+#: process (2 vCPU, Python 3.11.7), the lowest of three runs at --s-max 64
+#: and of two at 512, given as 64 / 512:
 #:
-#:   method-agreement   0.07 / 18.4    monotonicity             0.06 /  9.0
-#:   series-enclosure   0.26 /  0.17   bernoulli-oracle         0.05 /  0.04
-#:   sum-identity-x1    0.07 / 15.6    partial-sum-convergence  0.04 /  0.02
-#:   sum-identity-x0    0.06 / 13.9    triangular-solve         0.03 /  0.02
-#:   documented-erratum 0.06 / 13.8    fourier-quadrature       0.02 /  0.02
-#:   perm-diff          0.00 /  1.7
+#:   sum-identity-x1    0.04 / 22.2    documented-erratum       0.03 / 12.8
+#:   series-enclosure   0.19 /  0.25   perm-diff                0.00 /  2.8
+#:   sum-identity-x0    0.04 / 17.9    bernoulli-oracle         0.03 /  0.04
+#:   monotonicity       0.03 / 13.1    partial-sum-convergence  0.02 /  0.04
+#:   method-agreement   0.04 / 12.8    triangular-solve         0.02 /  0.03
+#:                                     fourier-quadrature       0.01 /  0.02
 #:
 #: At 512 about 12 s of each closed-form suite's figure is the Bernoulli
-#: fill, which a process pays once.  method-agreement leads at 512 and
-#: series-enclosure at 64; the rest follow their cost at 512 (sum-identity-x0
-#: and documented-erratum are level there), then at 64.
+#: fill, which a process pays once; method-agreement's three recurrences
+#: take about 1.2 s of the rest.  sum-identity-x1 leads at 512 and
+#: series-enclosure at 64; the rest follow their cost at 512
+#: (method-agreement and documented-erratum are level there), then at 64.
 _LONGEST_FIRST = (
-    _suite_method_agreement,
-    _suite_series_enclosure,
     _suite_sum_identity_x1,
+    _suite_series_enclosure,
     _suite_sum_identity_x0,
-    _suite_documented_erratum,
     _suite_monotonicity,
+    _suite_method_agreement,
+    _suite_documented_erratum,
     _suite_perm_diff,
     _suite_bernoulli,
     _suite_partial_sum_convergence,

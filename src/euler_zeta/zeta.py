@@ -17,25 +17,27 @@ routes that must agree:
                         only route allowed to disagree with the others.
 * ``CLOSED_FORM``     - Bernoulli-number closed form, the independent oracle.
 
-Every recurrence reads the cosine expansion of x**(2m) from
-``fourier._expansion_weights``, the one statement of its weights
-w_k(m) = (-1)**(k+1) P(2m, 2k-1).  The new theorem and both Lee-Ryoo
-variants take the relation at x = 0 (or x = 1) for m = s minus the one for
-m = s-1, which weighs c_k by w_k(s) - w_k(s-1) (times 4**-k at x = 1), and
-c_s is the one unknown left.  The corollary, with its (2s)! moved into the
-prefactor, weighs c_k by (2k-1)(2s-k) w_k(s), since
-P(2s, 2k-1)/(2s)! = 1/(2s-2k+1)!.  Every weight a step multiplies by is a
-plain int: at x = 1 the step's factor 4**s turns 4**-k into 4**(s-k).  The
-``perm-diff`` suite of ``verify`` pins these rows to the paper's printed
-factorial forms, and the closed form stays the independent route every
-recurrence is compared with.
+Every recurrence reads the cosine expansion of x**(2m) through
+``fourier._expansion_sum``, which sums values against its weights
+w_k(m) = (-1)**(k+1) P(2m, 2k-1) by Horner's rule over the ratios
+w_{k+1}/w_k = -(2m-2k+1)(2m-2k), so no weight row is built.  The new
+theorem and both Lee-Ryoo variants take the relation at x = 0 (or x = 1) for
+m = s minus the one for m = s-1, which weighs c_k by w_k(s) - w_k(s-1)
+(times 4**-k at x = 1), and c_s is the one unknown left: two passes, at s
+and at s-1, over the same values.  The corollary, with its (2s)! moved into
+the prefactor, weighs c_k by (2k-1)(2s-k) w_k(s), since
+P(2s, 2k-1)/(2s)! = 1/(2s-2k+1)!: one pass at s.  At x = 1 the step's factor
+4**s turns 4**-k into 4**(s-k), a shift of each value.  The ``perm-diff``
+suite of ``verify`` pins the weight rows to the paper's printed factorial
+forms, and the closed form stays the independent route every recurrence is
+compared with.
 
 A recurrence keeps its prior coefficients as integer numerators e_k over one
 common denominator L, c_k = e_k / L, so each step's weighted sum is a plain
-int sum and c_s comes from a fixed number of ``Fraction`` operations; L grows
-to lcm(L, denominator of c_s) when c_s needs it, and the numerators are then
-rescaled once.  The pi powers cancel symbolically; pi never enters an exact
-computation.
+int sum whose every inner step multiplies by a small int, and c_s comes from
+a fixed number of ``Fraction`` operations; L grows to lcm(L, denominator of
+c_s) when c_s needs it, and the numerators are then rescaled once.  The pi
+powers cancel symbolically; pi never enters an exact computation.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
-from operator import floordiv, mul, sub
+from operator import floordiv
 
 from .exactmath import (
     DecimalApprox,
@@ -55,7 +57,7 @@ from .exactmath import (
     bernoulli,
     eval_pi_polynomial,
 )
-from .fourier import _expansion_weights
+from .fourier import _expansion_sum
 from .relations import relation_at
 
 __all__ = [
@@ -194,29 +196,29 @@ def _next_coefficient(method: Method, s: int, numerators: list[int], common: int
     # is c_s = (-1)**s prefactor (constant + sum_k weight_k c_k).
     if s == 1:
         return Fraction(1, 12)  # the recurrences are stated for s >= 2
-    row = _expansion_weights(s)
     prefactor = Fraction(1, math.factorial(2 * s))
     if method is Method.COROLLARY:
         # The printed step with (2s)! moved out of its sum: P(2s, 2k-1)/(2s)!
         # is 1/(2s-2k+1)!, so each factorial weight is (2k-1)(2s-k) w_k(s)/(2s)!.
         prefactor /= (2 * s - 1) * s
         constant = Fraction(s, 2 * s + 1)
-        weights = ((2 * k - 1) * (2 * s - k) * w for k, w in enumerate(row, start=1))
+        values = [(2 * k - 1) * (2 * s - k) * e for k, e in enumerate(numerators, start=1)]
+        total = _expansion_sum(s, values)
     else:
         # The x=0 (new theorem) or x=1 (Lee-Ryoo) relation at s minus the one
-        # at s-1; map stops at the shorter row.
-        weights = map(sub, row, _expansion_weights(s - 1))
+        # at s-1 weighs c_k by w_k(s) - w_k(s-1).
         if method is Method.NEW_THEOREM:
             constant = Fraction(1, (2 * s - 1) * (2 * s + 1))
+            values = numerators
         else:
             # The x=1 relation weighs c_k by a further 4**-k, and its step
             # carries 4**s outside the sum; 4**s goes into the constant and
-            # into the integer weights (w_k(s) - w_k(s-1)) 4**(s-k).
+            # into the values, as e_k 4**(s-k).
             variant = "printed" if method is Method.LEERYOO_PRINTED else "derived"
             constant = leeryoo_constant(s, variant) * 4**s
-            weights = [w * 4 ** (s - k) for k, w in enumerate(weights, start=1)]
-    total = Fraction(sum(map(mul, numerators, weights)), common)
-    return (-1) ** s * prefactor * (constant + total)
+            values = [e << 2 * (s - k) for k, e in enumerate(numerators, start=1)]
+        total = _expansion_sum(s, values) - _expansion_sum(s - 1, values)
+    return (-1) ** s * prefactor * (constant + Fraction(total, common))
 
 
 def euler_zeta_coefficients(s_max: int, method: Method = Method.NEW_THEOREM) -> list[Fraction]:

@@ -2,8 +2,11 @@ import math
 import time
 from decimal import Decimal
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from euler_zeta import exactmath
 from euler_zeta.exactmath import (
@@ -18,6 +21,7 @@ from euler_zeta.exactmath import (
 from euler_zeta.fourier import (
     QuadratureBudgetExceeded,
     _coefficient_terms,
+    _expansion_sum,
     _expansion_weights,
     fourier_coefficient,
     fourier_coefficient_numeric,
@@ -67,6 +71,23 @@ def test_expansion_weights_equal_their_definition():
     for m in [*range(101), 512]:
         expected = [(-1) ** (k + 1) * math.perm(2 * m, 2 * k - 1) for k in range(1, m + 1)]
         assert _expansion_weights(m) == expected
+
+
+# Small ints, and ints as wide as a recurrence's numerators at s = 512.
+_values = st.lists(
+    st.one_of(st.integers(-(10**6), 10**6), st.integers(-(1 << 9000), 1 << 9000)),
+    max_size=72,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(0, 64), values=_values)
+@example(m=5, values=[3, -(1 << 9000), 7])  # shorter than the row
+@example(m=3, values=[-1, 1 << 9000, -(10**6)])  # as long as the row
+@example(m=2, values=[1 << 9000, -5, 11, -(1 << 8999)])  # longer than the row
+def test_expansion_sum_equals_the_row_sum(m, values):
+    # Horner's rule over the ratios against the products with the row.
+    assert _expansion_sum(m, values) == sum(map(mul, values, _expansion_weights(m)))
 
 
 def test_pi_once_per_evaluation(monkeypatch):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from euler_zeta.cli import MAX_S
 from euler_zeta.exactmath import DecimalApprox, _ceil_to_decimal, _decimal_from_scaled
 from euler_zeta.fourier import _expansion_weights
 from euler_zeta.zeta import (
@@ -99,6 +100,20 @@ class TestRecurrences:
         printed = euler_zeta_coefficients(128, Method.LEERYOO_PRINTED)
         assert printed[0] == reference[0]
         assert all(printed[s - 1] != reference[s - 1] for s in range(2, 129))
+
+    def test_recurrences_against_closed_form_at_the_cap(self):
+        # Through the CLI's cap s = 512, where each numerator e_k is about
+        # 8800 bits wide.  The closed form here is built from mpmath's
+        # Bernoulli numbers, not the package's own fill:
+        # c_s = (1 - 2**(1-2s)) (-1)**(s+1) B_{2s} 2**(2s) / (2 (2s)!).
+        mpmath = pytest.importorskip("mpmath")
+        reference = []
+        for s in range(1, MAX_S + 1):
+            num, den = mpmath.bernfrac(2 * s)
+            zeta = Fraction((-1) ** (s + 1) * num * 4**s, 2 * den * math.factorial(2 * s))
+            reference.append((1 - Fraction(1, 2 ** (2 * s - 1))) * zeta)
+        for method in (Method.NEW_THEOREM, Method.COROLLARY, Method.LEERYOO_DERIVED):
+            assert euler_zeta_coefficients(MAX_S, method) == reference
 
     def test_coefficients_positive(self):
         for method in AGREEING_METHODS:

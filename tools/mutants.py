@@ -99,13 +99,20 @@ MUTANTS = [
         "    roundoff += 0\n",
         equivalent=True,
     ),
-    # The expansion's weight row, which the relations, the Fourier
-    # coefficients and every recurrence step read.
+    # The expansion's ratios, from which the weight row (the relations, the
+    # Fourier coefficients) and the Horner sum (every recurrence step) are
+    # built, and the Horner step itself.
     Mutant(
         "expansion row factor off by one step",
         "src/euler_zeta/fourier.py",
-        "        w *= -(2 * m - 2 * k + 1) * (2 * m - 2 * k)\n",
-        "        w *= -(2 * m - 2 * k + 1) * (2 * m - 2 * k + 2)\n",
+        "    return list(map(mul, range(2 * m - 1, 0, -2), range(2 * m - 2, -1, -2)))\n",
+        "    return list(map(mul, range(2 * m - 1, 0, -2), range(2 * m, 1, -2)))\n",
+    ),
+    Mutant(
+        "Horner step sign dropped",
+        "src/euler_zeta/fourier.py",
+        "        acc = value - ratio * acc\n",
+        "        acc = value + ratio * acc\n",
     ),
     # The cosine (-1)**(n x / 2) that signs each a_n of a partial sum.
     Mutant(
@@ -114,25 +121,26 @@ MUTANTS = [
         "            cos = -1 if nx % 4 else 1\n",
         "            cos = 1\n",
     ),
-    # The corollary's weight, read from the same row.
+    # The corollary's factor on each value of its one Horner pass.
     Mutant(
         "corollary weight factor off by two",
         "src/euler_zeta/zeta.py",
-        "        weights = ((2 * k - 1) * (2 * s - k) * w for k, w in enumerate(row, start=1))\n",
-        "        weights = ((2 * k + 1) * (2 * s - k) * w for k, w in enumerate(row, start=1))\n",
+        "        values = [(2 * k - 1) * (2 * s - k) * e for k, e in enumerate(numerators, start=1)]\n",
+        "        values = [(2 * k + 1) * (2 * s - k) * e for k, e in enumerate(numerators, start=1)]\n",
     ),
-    # The Lee-Ryoo weights, and the sum every recurrence step shares.
+    # The Lee-Ryoo values e_k 4**(s-k), and the sum every recurrence step
+    # adds to its constant.
     Mutant(
         "Lee-Ryoo weights without 4**-k",
         "src/euler_zeta/zeta.py",
-        "            weights = [w * 4 ** (s - k) for k, w in enumerate(weights, start=1)]\n",
-        "            weights = [w * 4**s for k, w in enumerate(weights, start=1)]\n",
+        "            values = [e << 2 * (s - k) for k, e in enumerate(numerators, start=1)]\n",
+        "            values = [e << 2 * s for k, e in enumerate(numerators, start=1)]\n",
     ),
     Mutant(
         "recurrence sum sign flipped",
         "src/euler_zeta/zeta.py",
-        "    total = Fraction(sum(map(mul, numerators, weights)), common)\n",
-        "    total = Fraction(-sum(map(mul, numerators, weights)), common)\n",
+        "    return (-1) ** s * prefactor * (constant + Fraction(total, common))\n",
+        "    return (-1) ** s * prefactor * (constant - Fraction(total, common))\n",
     ),
     # The common denominator of the recurrence tables: when it grows, every
     # numerator already kept must be scaled with it.
