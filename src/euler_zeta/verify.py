@@ -295,7 +295,7 @@ def _suite_monotonicity(s_max: int) -> SuiteResult:
 #: and of two at 512, given as 64 / 512:
 #:
 #:   sum-identity-x1    0.04 / 22.2    documented-erratum       0.03 / 12.8
-#:   series-enclosure   0.19 /  0.25   perm-diff                0.00 /  2.8
+#:   series-enclosure   0.10 /  0.10   perm-diff                0.00 /  2.8
 #:   sum-identity-x0    0.04 / 17.9    bernoulli-oracle         0.03 /  0.04
 #:   monotonicity       0.03 / 13.1    partial-sum-convergence  0.02 /  0.04
 #:   method-agreement   0.04 / 12.8    triangular-solve         0.02 /  0.03
@@ -303,8 +303,9 @@ def _suite_monotonicity(s_max: int) -> SuiteResult:
 #:
 #: At 512 about 12 s of each closed-form suite's figure is the Bernoulli
 #: fill, which a process pays once; method-agreement's three recurrences
-#: take about 1.2 s of the rest.  sum-identity-x1 leads at 512 and
-#: series-enclosure at 64; the rest follow their cost at 512
+#: take about 1.2 s of the rest.  series-enclosure takes no s_max: its
+#: 10**6-term sum costs the same at both sizes.  sum-identity-x1 leads at
+#: 512 and series-enclosure at 64; the rest follow their cost at 512
 #: (method-agreement and documented-erratum are level there), then at 64.
 _LONGEST_FIRST = (
     _suite_sum_identity_x1,

@@ -4,13 +4,17 @@ import sys
 import threading
 from decimal import Decimal
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from euler_zeta.cli import MAX_S
 from euler_zeta.exactmath import DecimalApprox, _ceil_to_decimal, _decimal_from_scaled
 from euler_zeta.fourier import _expansion_weights
 from euler_zeta.zeta import (
+    _SERIES_CHUNK,
     AGREEING_METHODS,
     Method,
     EulerZetaValue,
@@ -291,6 +295,41 @@ class TestSeries:
         # the working scale exactly.
         for terms in (1, 2, 3, 4, 5, 8, 10, 16, 25, 99, 100, 1000, 4096, 10**4):
             assert euler_zeta_series(s, terms) == _reference_series(s, terms)
+        # Chunk edges (a chunk holds _SERIES_CHUNK odd n), and the counts at
+        # which an odd n's last even multiple n * 2**k enters or drops out:
+        # 2**j * chunk + 2 and + 4 are the first multiples of the second
+        # chunk's first n.
+        chunk = _SERIES_CHUNK
+        for terms in (
+            chunk - 1, chunk, chunk + 1, 2 * chunk - 1, 2 * chunk, 2 * chunk + 1,
+            4 * chunk - 1, 4 * chunk + 1, 4 * chunk + 2,
+            8 * chunk - 1, 8 * chunk + 1, 8 * chunk + 4,
+        ):
+            assert euler_zeta_series(s, terms) == _reference_series(s, terms)
+
+    def test_criterion_size_equals_two_range_sum(self):
+        # The verify suite's own size, against one floor per term summed over
+        # the odd n and the even n apart, without the shifts.
+        terms = 10**6
+        work = ((terms + 1) ** 2).bit_length() * 30103 // 100000 + 14
+        scale = 10**work
+
+        def floored_terms(start):
+            ns = range(start, terms + 1, 2)
+            return sum(map(operator.floordiv, map(operator.floordiv, repeat(scale), ns), ns))
+
+        acc = floored_terms(1) - floored_terms(2)
+        assert euler_zeta_series(1, terms).value == _decimal_from_scaled(acc, work)
+
+    @given(
+        a=st.integers(1, 1 << 4096),
+        m=st.integers(1, 1 << 64),
+        s=st.integers(1, 16),
+    )
+    def test_even_term_is_the_halved_terms_shift(self, a, m, s):
+        # The nested-floor identity behind the even terms:
+        # floor(floor(A / m**(2s)) / 4**s) = floor(A / (2m)**(2s)).
+        assert (a // m ** (2 * s)) >> (2 * s) == a // (2 * m) ** (2 * s)
 
     def test_domain(self):
         with pytest.raises(ValueError):

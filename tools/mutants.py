@@ -142,6 +142,20 @@ MUTANTS = [
         "    return (-1) ** s * prefactor * (constant + Fraction(total, common))\n",
         "    return (-1) ** s * prefactor * (constant - Fraction(total, common))\n",
     ),
+    # The series sum's even terms, each an odd term's floor shifted by 2s
+    # per factor 2, while the multiple stays within the term count.
+    Mutant(
+        "series even term shifted one level too deep",
+        "src/euler_zeta/zeta.py",
+        "            acc -= sum(map(rshift, islice(floors, count), repeat(exponent * k)))\n",
+        "            acc -= sum(map(rshift, islice(floors, count), repeat(exponent * (k + 1))))\n",
+    ),
+    Mutant(
+        "series last even multiple dropped",
+        "src/euler_zeta/zeta.py",
+        "        while lo << k <= terms:\n",
+        "        while lo << k < terms:\n",
+    ),
     # The common denominator of the recurrence tables: when it grows, every
     # numerator already kept must be scaled with it.
     Mutant(
