@@ -131,7 +131,7 @@ def _write_values(
 # ---------------------------------------------------------------------------
 
 
-def _int_between(minimum: int, maximum: int | None = None) -> Callable[[str], int]:
+def _int_between(minimum: int, maximum: int) -> Callable[[str], int]:
     def convert(text: str) -> int:
         try:
             value = int(text)
@@ -139,7 +139,7 @@ def _int_between(minimum: int, maximum: int | None = None) -> Callable[[str], in
             raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        if maximum is not None and value > maximum:
+        if value > maximum:
             raise argparse.ArgumentTypeError(f"must be <= {maximum}, got {value}")
         return value
 

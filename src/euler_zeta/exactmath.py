@@ -159,7 +159,7 @@ def _decimal_from_scaled(value: int, shift: int) -> Decimal:
 def _ceil_to_decimal(x: Fraction, digits: int) -> Decimal:
     # Smallest multiple of 10**-digits that is >= x (x nonnegative).
     scaled = x * 10**digits
-    return _decimal_from_scaled(-((-scaled.numerator) // scaled.denominator), digits)
+    return _decimal_from_scaled(_ceil_div(scaled.numerator, scaled.denominator), digits)
 
 
 def pi_decimal(digits: int) -> DecimalApprox:

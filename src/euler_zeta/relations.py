@@ -165,6 +165,10 @@ def solve_triangular(relations: Sequence[LinearRelation]) -> list[Fraction]:
     Relation i must introduce exactly the unknown i (its largest index is i
     and that pivot coefficient is nonzero); anything else raises
     :class:`DegenerateSystem`.  Mixing families raises ValueError.
+
+    Each step eliminates through :meth:`LinearRelation.residual`: with the
+    new unknown set to 0, the residual is minus what the pivot term must
+    supply, so v_i = -residual / pivot.
     """
     if not relations:
         return []
@@ -177,10 +181,6 @@ def solve_triangular(relations: Sequence[LinearRelation]) -> list[Fraction]:
             raise DegenerateSystem(
                 f"relation {i} introduces unknown {rel.order}, expected {i}"
             )
-        coeffs = rel.coefficients
-        acc = rel.rhs
-        for k, q in coeffs.items():
-            if k < i:
-                acc -= q * solution[k - 1]
-        solution.append(acc / coeffs[i])
+        pivot = rel._coeffs[-1][1]
+        solution.append(-rel.residual([*solution, 0]) / pivot)
     return solution

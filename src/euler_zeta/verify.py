@@ -249,7 +249,7 @@ def _suite_series_enclosure() -> SuiteResult:
 def _suite_triangular_solve(s_max: int) -> SuiteResult:
     # A forward solve satisfies every relation it used exactly, so a solve
     # equal to the closed forms also shows that they balance each relation.
-    euler_expected = [euler_zeta_closed_form(k).coeff for k in range(1, s_max + 1)]
+    euler_expected = euler_zeta_coefficients(s_max, Method.CLOSED_FORM)
     ordinary_expected = [zeta_even_closed_form(k) for k in range(1, s_max + 1)]
     systems = [[relation_at(m, x) for m in range(1, s_max + 1)] for x in (0, 1, 2)]
     solved = [solve_triangular(system) for system in systems]
@@ -298,7 +298,7 @@ def _suite_monotonicity(s_max: int) -> SuiteResult:
 #:   series-enclosure   0.10 /  0.10   perm-diff                0.00 /  2.8
 #:   sum-identity-x0    0.04 / 17.9    bernoulli-oracle         0.03 /  0.04
 #:   monotonicity       0.03 / 13.1    partial-sum-convergence  0.02 /  0.04
-#:   method-agreement   0.04 / 12.8    triangular-solve         0.02 /  0.03
+#:   method-agreement   0.04 / 12.8    triangular-solve         0.01 /  0.02
 #:                                     fourier-quadrature       0.01 /  0.02
 #:
 #: At 512 about 12 s of each closed-form suite's figure is the Bernoulli

@@ -224,9 +224,10 @@ def _next_coefficient(method: Method, s: int, numerators: list[int], common: int
 def euler_zeta_coefficients(s_max: int, method: Method = Method.NEW_THEOREM) -> list[Fraction]:
     """The coefficients c_1 .. c_{s_max} for one method, as a new list.
 
-    One forward pass: each c_s is computed from c_1 .. c_{s-1}.  Nothing is
-    kept between calls, so ask once for the largest s you need.  The closed
-    form reads and fills the process-wide Bernoulli memo.  A method that is
+    A recurrence is one forward pass: each c_s is computed from
+    c_1 .. c_{s-1}.  Nothing is kept between calls, so ask once for the
+    largest s you need.  The closed form builds each c_s on its own from the
+    process-wide Bernoulli memo, which it reads and fills.  A method that is
     not a :class:`Method` member, such as its CLI spelling, raises TypeError.
     """
     if not isinstance(method, Method):
@@ -283,8 +284,10 @@ def euler_zeta_series(s: int, terms: int) -> DecimalApprox:
     reported bound is that tail plus the tracked per-term floor error, so
     the enclosure is guaranteed to contain the limit zeta_E(2s).
 
-    Only the odd terms are divided out.  With T(n) = floor(10**work / n**(2s)),
-    the nested-floor identity floor(floor(x) / 4**s) = floor(x / 4**s) gives
+    Only the odd terms are divided out, each by 2s nested divisions by n:
+    the nested-floor identity floor(floor(x / a) / b) = floor(x / (a b))
+    makes them T(n) = floor(10**work / n**(2s)) with no power of n built,
+    and an n below 2**30 is one CPython digit.  The same identity gives
     T(2n) = T(n) >> 2s, so an odd n's floor also gives the terms at 2n, 4n,
     ... by shifts.  The odd floors are summed in chunks of ``_SERIES_CHUNK``,
     so the memory held stays that of one chunk whatever the term count.
@@ -302,13 +305,10 @@ def euler_zeta_series(s: int, terms: int) -> DecimalApprox:
     acc = 0
     for lo in range(1, terms + 1, 2 * _SERIES_CHUNK):
         ns = range(lo, min(lo + 2 * _SERIES_CHUNK, terms + 1), 2)
-        if s == 1:
-            # floor(floor(scale / n) / n) is the same floor; two divisions by
-            # an n below 2**30 (one CPython digit) beat one by n**2; operator's
-            # floordiv over repeat(scale) skips the int method wrapper's call
-            floors = list(map(floordiv, map(floordiv, repeat(scale), ns), ns))
-        else:
-            floors = list(map(floordiv, repeat(scale), map(pow, ns, repeat(exponent))))
+        floors = repeat(scale)
+        for _ in range(exponent):
+            floors = map(floordiv, floors, ns)
+        floors = list(floors)
         acc += sum(floors)
         k = 1
         while lo << k <= terms:

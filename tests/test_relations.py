@@ -28,6 +28,19 @@ def _printed_relation(m, x):
     return LinearRelation(Family.ORDINARY_ZETA, coeffs, Fraction(m, 2 * m + 1))
 
 
+def _forward_elimination(relations):
+    # Forward substitution written out term by term, in Fraction arithmetic.
+    solution = []
+    for i, rel in enumerate(relations, start=1):
+        coeffs = rel.coefficients
+        acc = rel.rhs
+        for k, q in coeffs.items():
+            if k < i:
+                acc -= q * solution[k - 1]
+        solution.append(acc / coeffs[i])
+    return solution
+
+
 class TestRelationAt:
     @pytest.mark.parametrize("x", [0, 1, 2])
     def test_matches_the_printed_identities(self, x):
@@ -170,3 +183,28 @@ class TestSolveTriangular:
         system = [relation_at(1, 0), relation_at(2, 2)]
         with pytest.raises(ValueError):
             solve_triangular(system)
+
+    @pytest.mark.parametrize("x", [0, 1, 2])
+    def test_equals_term_by_term_elimination(self, x):
+        system = [relation_at(m, x) for m in range(1, 65)]
+        assert solve_triangular(system) == _forward_elimination(system)
+
+    def test_general_relations_equal_term_by_term_elimination(self):
+        # A repeated index, a cancelled coefficient, int right sides, and
+        # unknowns that the later relations skip.
+        family = Family.ORDINARY_ZETA
+        system = [
+            LinearRelation(family, [(1, 3), (1, Fraction(-1, 2))], 7),
+            LinearRelation(family, [(1, Fraction(2, 3)), (2, -4), (1, Fraction(-2, 3))], 1),
+            LinearRelation(family, {1: Fraction(5, 6), 3: Fraction(9, 10)}, Fraction(-3, 4)),
+            LinearRelation(family, [(2, 1), (4, Fraction(-7, 3)), (3, 2), (2, 5)], -2),
+        ]
+        assert system[1].coefficients == {2: Fraction(-4)}
+        expected = _forward_elimination(system)
+        assert expected == [
+            Fraction(14, 5),
+            Fraction(-1, 4),
+            Fraction(-185, 54),
+            Fraction(-49, 18),
+        ]
+        assert solve_triangular(system) == expected

@@ -1,6 +1,6 @@
 """Mutation check: every listed one-line fault must fail the tier-1 tests.
 
-Usage, from the repository root (about 70 s on two cores):
+Usage, from the repository root (about 85 s on two cores):
 
     python tools/mutants.py
 
@@ -142,6 +142,13 @@ MUTANTS = [
         "    return (-1) ** s * prefactor * (constant + Fraction(total, common))\n",
         "    return (-1) ** s * prefactor * (constant - Fraction(total, common))\n",
     ),
+    # The series sum's odd terms, each floored by 2s nested divisions by n.
+    Mutant(
+        "series floors one division short",
+        "src/euler_zeta/zeta.py",
+        "        for _ in range(exponent):\n",
+        "        for _ in range(exponent - 1):\n",
+    ),
     # The series sum's even terms, each an odd term's floor shifted by 2s
     # per factor 2, while the multiple stays within the term count.
     Mutant(
@@ -155,6 +162,20 @@ MUTANTS = [
         "src/euler_zeta/zeta.py",
         "        while lo << k <= terms:\n",
         "        while lo << k < terms:\n",
+    ),
+    # The triangular solve's elimination step: v_i = -residual / pivot with
+    # v_i set to 0 in the residual.
+    Mutant(
+        "triangular solve sign flipped",
+        "src/euler_zeta/relations.py",
+        "        solution.append(-rel.residual([*solution, 0]) / pivot)\n",
+        "        solution.append(rel.residual([*solution, 0]) / pivot)\n",
+    ),
+    Mutant(
+        "triangular solve placeholder unknown set to 1",
+        "src/euler_zeta/relations.py",
+        "        solution.append(-rel.residual([*solution, 0]) / pivot)\n",
+        "        solution.append(-rel.residual([*solution, 1]) / pivot)\n",
     ),
     # The common denominator of the recurrence tables: when it grows, every
     # numerator already kept must be scaled with it.
