@@ -20,7 +20,7 @@ from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from io import TextIOBase
 
-from .relations import relation_at
+from .relations import Family, relation_at
 from .zeta import EulerZetaValue, Method, euler_zeta, euler_zeta_coefficients
 
 __all__ = [
@@ -208,7 +208,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_identities(args: argparse.Namespace) -> int:
     relation = relation_at(args.m, args.x)
-    unknown = "zeta_E" if relation.family.value == "euler-zeta" else "zeta"
+    unknown = "zeta_E" if relation.family is Family.EULER_ZETA else "zeta"
     if args.format == "plain":
         terms = " + ".join(f"({q})*v_{k}" for k, q in relation.coefficients.items())
         print(f"substitution x={args.x} on t^(2m) with m={args.m} [{relation.family.value}]")

@@ -9,7 +9,9 @@ as an outward-rounded integer pair in units of 10**-work, and one precision
 loop (`_enclose`) turns the pair into the value correctly rounded to the
 requested places, with bound one unit in the last place.  Every sum of
 rational multiples of powers of pi, a `PiPolynomial` or the Fourier partial
-sums, goes through one evaluator (`_enclose_sum`).
+sums, goes through one evaluator (`_enclose_sum`).  No pair leaves this
+module: every other module reads an enclosure through
+`DecimalApprox.bounds()`.
 """
 
 from __future__ import annotations
@@ -284,20 +286,14 @@ def _scale_by(num: int, den: int, x: tuple[int, int]) -> tuple[int, int]:
     return num * lo // den, _ceil_div(num * hi, den)
 
 
-def _pi_sq_interval(work: int) -> tuple[int, int]:
-    """pi**2 enclosed in units of 10**-work, from one pi enclosure."""
-    scale = 10**work
-    pi_lo, pi_hi = _pi_interval(work)
-    return pi_lo * pi_lo // scale, _ceil_div(pi_hi * pi_hi, scale)
-
-
 def _pi_sq_power(k: int, work: int, pi_sq: tuple[int, int]) -> tuple[int, int]:
     """pi**(2k) for any integer k, enclosed in units of 10**-work.
 
-    Repeated squaring of pi_sq, the enclosure ``_pi_sq_interval(work)``,
-    which an evaluation computes once for all its terms; a negative k takes
-    one outward reciprocal of the positive power at the end, which keeps its
-    relative error that of the positive power.
+    Repeated squaring of pi_sq, the enclosure ``_mul(pi, pi, 10**work)`` of
+    one ``pi = _pi_interval(work)``, which an evaluation computes once for
+    all its terms; a negative k takes one outward reciprocal of the positive
+    power at the end, which keeps its relative error that of the positive
+    power.
     """
     scale = 10**work
     base = pi_sq
@@ -360,14 +356,15 @@ def _enclose_sum(
 
     The one evaluator of sums of powers of pi; den > 0, and the same k may
     recur.  Each pass of :func:`_enclose` calls `terms()` afresh, encloses
-    pi**2 once, each distinct pi**(2k) once by :func:`_pi_sq_power`, and
-    adds up the outward-rounded products.  A term negated through its num
-    gives the pair (-hi, -lo) of the term itself, so folding a sign into num
-    is exactly subtracting the term.
+    pi and pi**2 once, each distinct pi**(2k) once by :func:`_pi_sq_power`,
+    and adds up the outward-rounded products.  A term negated through its
+    num gives the pair (-hi, -lo) of the term itself, so folding a sign into
+    num is exactly subtracting the term.
     """
 
     def evaluate(work: int) -> tuple[int, int]:
-        pi_sq = _pi_sq_interval(work)
+        pi = _pi_interval(work)
+        pi_sq = _mul(pi, pi, 10**work)
         powers: dict[int, tuple[int, int]] = {}
         lo = hi = 0
         for k, num, den in terms():

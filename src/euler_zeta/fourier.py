@@ -22,7 +22,7 @@ from .exactmath import (
     PiPolynomial,
     _decimal_from_scaled,
     _enclose_sum,
-    _pi_interval,
+    pi_decimal,
 )
 
 __all__ = [
@@ -109,11 +109,11 @@ def fourier_coefficient_numeric(
     * truncation, 2 (b - a) h**6 M6 / 945 with b - a = 4 and M6 >= |f^(6)|
       for f = x**p cos(w x) / 2, p = 2m, w = n pi / 2: by Leibniz on
       |x| <= 2, M6 = (1/2) sum_j C(6, j) P(p, j) 2**(p-j) w**(6-j), in exact
-      rationals over an upper bound for pi;
+      rationals over the upper end of ``pi_decimal(20)``;
     * roundoff, with u = 2**-53, assuming libm's ``pow`` and ``cos`` are
       within 1 ulp.  The node x = k/P is one rounding; w * x carries it,
       the conversion of n, the product n * math.pi, the relative error rho
-      of math.pi (from an enclosure of pi) and its own rounding, so the
+      of math.pi (from the same bounds of pi) and its own rounding, so the
       cosine is off by gamma = 2 w ((1 + u)**4 (1 + rho) - 1) + 2u (cos is
       1-Lipschitz; 2u is its ulp).  x**p carries x's rounding p times and
       pow's ulp, and the product with the cosine one rounding: theta =
@@ -136,7 +136,7 @@ def fourier_coefficient_numeric(
     bound = Decimal(str(tol))
     p = 2 * m
 
-    pi_lo, pi_hi = (Fraction(end, 10**20) for end in _pi_interval(20))
+    pi_lo, pi_hi = pi_decimal(20).bounds()
     w_hi = n * pi_hi / 2
     m6 = sum(
         math.comb(6, j) * math.perm(p, j) * 2 ** (p - j) * w_hi ** (6 - j)

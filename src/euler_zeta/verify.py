@@ -194,11 +194,9 @@ def _suite_fourier_quadrature() -> SuiteResult:
     ok = True
     for m in range(1, 4):
         for n in range(1, 9):
-            exact = eval_pi_polynomial(fourier_coefficient(m, n), 12)
-            numeric = fourier_coefficient_numeric(m, n, 1e-11)
-            gap = abs(Fraction(exact.value) - Fraction(numeric.value))
-            limit = Fraction(exact.abs_error_bound) + Fraction(numeric.abs_error_bound)
-            if gap > limit:
+            lo, hi = eval_pi_polynomial(fourier_coefficient(m, n), 12).bounds()
+            numeric_lo, numeric_hi = fourier_coefficient_numeric(m, n, 1e-11).bounds()
+            if lo > numeric_hi or numeric_lo > hi:
                 ok = False
     return SuiteResult(
         "fourier-quadrature", ok, "exact and Boole enclosures overlap for m <= 3, n <= 8"
@@ -206,16 +204,14 @@ def _suite_fourier_quadrature() -> SuiteResult:
 
 
 def _suite_partial_sum_convergence() -> SuiteResult:
-    pi_approx = pi_decimal(20)
-    pi_hi = Fraction(pi_approx.value) + Fraction(pi_approx.abs_error_bound)
+    pi_hi = pi_decimal(20).bounds()[1]
     ok = True
     for big_n in (100, 1000, 10000):
         allowance = Fraction(32) / (pi_hi * pi_hi * big_n)
-        at0 = partial_sum(1, 0, big_n, 12)
-        value0 = abs(Fraction(at0.value)) + Fraction(at0.abs_error_bound)
-        at1 = partial_sum(1, 1, big_n, 12)
-        value1 = abs(Fraction(at1.value) - 1) + Fraction(at1.abs_error_bound)
-        if value0 > allowance or value1 > allowance:
+        # The far ends of the enclosures from the limits 0 (x = 0) and 1 (x = 1).
+        lo0, hi0 = partial_sum(1, 0, big_n, 12).bounds()
+        lo1, hi1 = partial_sum(1, 1, big_n, 12).bounds()
+        if max(-lo0, hi0) > allowance or max(1 - lo1, hi1 - 1) > allowance:
             ok = False
     return SuiteResult(
         "partial-sum-convergence",
@@ -231,10 +227,9 @@ def _suite_series_enclosure() -> SuiteResult:
     ok = True
     for s, terms in [(1, 10**6), (2, 1000), (3, 100)]:
         enclosure = euler_zeta_series(s, terms)
-        limit = euler_zeta_closed_form(s).decimal(30)
-        gap = abs(Fraction(enclosure.value) - Fraction(limit.value))
-        budget = Fraction(enclosure.abs_error_bound) + Fraction(limit.abs_error_bound)
-        if gap > budget:
+        lo, hi = enclosure.bounds()
+        limit_lo, limit_hi = euler_zeta_closed_form(s).decimal(30).bounds()
+        if lo > limit_hi or limit_lo > hi:
             ok = False
         if s == 1 and not (
             Fraction(enclosure.abs_error_bound) <= Fraction(1, 10**12)

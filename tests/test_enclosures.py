@@ -22,8 +22,8 @@ from euler_zeta import exactmath
 from euler_zeta.exactmath import (
     PiPolynomial,
     _chudnovsky_sum,
+    _mul,
     _pi_interval,
-    _pi_sq_interval,
     _pi_sq_power,
     eval_pi_polynomial,
     pi_decimal,
@@ -44,7 +44,8 @@ def _mpf(q: Fraction):
 @settings(deadline=None, max_examples=150)
 @given(k=st.integers(-64, 64), work=st.integers(1, 80))
 def test_pi_sq_power_contains_the_power(k, work):
-    lo, hi = _pi_sq_power(k, work, _pi_sq_interval(work))
+    pi = _pi_interval(work)
+    lo, hi = _pi_sq_power(k, work, _mul(pi, pi, 10**work))
     assert 0 <= lo <= hi
     with mpmath.workdps(work + 40 + max(k, 0)):
         scaled = mpmath.pi ** (2 * k) * mpmath.mpf(10) ** work

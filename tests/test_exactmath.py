@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 import threading
@@ -193,6 +194,15 @@ class TestOutwardRounding:
                         math.ceil(Fraction(max(corners), scale)),
                     )
                     assert _mul(a, b, scale) == expected
+
+
+def test_no_other_module_holds_a_pair_helper():
+    # The integer pairs stay in exactmath; every other module reads an
+    # enclosure through DecimalApprox.bounds().
+    helpers = {"_pi_interval", "_mul", "_scale_by", "_pi_sq_power", "_enclose"}
+    for name in ("fourier", "relations", "zeta", "verify", "cli"):
+        module = importlib.import_module(f"euler_zeta.{name}")
+        assert not helpers & set(vars(module)), name
 
 
 class TestEvalPiPolynomial:

@@ -12,7 +12,8 @@ from euler_zeta import exactmath
 from euler_zeta.exactmath import (
     PiPolynomial,
     _enclose,
-    _pi_sq_interval,
+    _mul,
+    _pi_interval,
     _pi_sq_power,
     _scale_by,
     eval_pi_polynomial,
@@ -40,7 +41,8 @@ def _reference_partial_sum(m, x, N, digits):
     # partial_sum must reproduce exactly.
     def evaluate(work):
         scale = 10**work
-        pi_sq = _pi_sq_interval(work)
+        pi = _pi_interval(work)
+        pi_sq = _mul(pi, pi, scale)
         powers = [_pi_sq_power(-k, work, pi_sq) for k in range(1, m + 1)]
         lo, hi = _scale_by(4**m, 2 * m + 1, (scale, scale))
         for n in range(1, N + 1):

@@ -65,12 +65,6 @@ MUTANTS = [
         "        power = square // power[1], _ceil_div(square, power[0])\n",
         "        power = square // power[1], square // power[0]\n",
     ),
-    Mutant(
-        "pi squared upper end floored",
-        "src/euler_zeta/exactmath.py",
-        "    return pi_lo * pi_lo // scale, _ceil_div(pi_hi * pi_hi, scale)\n",
-        "    return pi_lo * pi_lo // scale, pi_hi * pi_hi // scale\n",
-    ),
     # The Chudnovsky enclosure of pi.
     Mutant(
         "tail bound dropped",
@@ -120,6 +114,21 @@ MUTANTS = [
         "src/euler_zeta/fourier.py",
         "            cos = -1 if nx % 4 else 1\n",
         "            cos = 1\n",
+    ),
+    # The overlap tests of the verify suites that compare two enclosures:
+    # with `and`, only enclosures apart on both sides would fail, which
+    # cannot happen.
+    Mutant(
+        "quadrature overlap test inverted",
+        "src/euler_zeta/verify.py",
+        "            if lo > numeric_hi or numeric_lo > hi:\n",
+        "            if lo > numeric_hi and numeric_lo > hi:\n",
+    ),
+    Mutant(
+        "series overlap test inverted",
+        "src/euler_zeta/verify.py",
+        "        if lo > limit_hi or limit_lo > hi:\n",
+        "        if lo > limit_hi and limit_lo > hi:\n",
     ),
     # The corollary's factor on each value of its one Horner pass.
     Mutant(
