@@ -25,7 +25,6 @@ from .zeta import EulerZetaValue, Method, euler_zeta, euler_zeta_coefficients
 
 __all__ = [
     "CSV_HEADER",
-    "METHOD_ORDER",
     "MAX_S",
     "MAX_DIGITS",
     "format_exact",
@@ -33,10 +32,6 @@ __all__ = [
     "build_parser",
     "main",
 ]
-
-#: Fixed expansion order of `--methods all`, so CSV diffs stay stable: the
-#: order in which `Method` declares its members.
-METHOD_ORDER = list(Method)
 
 CSV_HEADER = ["s", "method", "numerator", "denominator", "pi_power", "decimal"]
 
@@ -153,13 +148,13 @@ def _method_arg(text: str) -> Method:
     try:
         return Method(text)
     except ValueError:
-        names = ", ".join(m.value for m in METHOD_ORDER)
+        names = ", ".join(m.value for m in Method)
         raise argparse.ArgumentTypeError(f"unknown method {text!r} (choose from: {names})")
 
 
 def _method_list_arg(text: str) -> list[Method]:
     if text == "all":
-        return list(METHOD_ORDER)
+        return list(Method)
     methods = [_method_arg(part) for part in text.split(",")]
     for method in methods:
         if methods.count(method) > 1:
@@ -233,7 +228,7 @@ def _cmd_identities(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     rows: list[tuple[str, float, int]] = []
-    for method in METHOD_ORDER:
+    for method in Method:
         best = float("inf")
         table: list[Fraction] = []
         for _ in range(args.repeats):
@@ -288,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     value.add_argument("--s", type=_s_arg, required=True,
                        help=f"half the argument, 1 <= s <= {MAX_S}")
     value.add_argument("--method", type=_method_arg, default=Method.NEW_THEOREM,
-                       help="one of: " + ", ".join(m.value for m in METHOD_ORDER))
+                       help="one of: " + ", ".join(m.value for m in Method))
     _add_format(value)
     _add_digits(value)
     value.set_defaults(func=_cmd_value)

@@ -35,8 +35,9 @@ compared with.
 A recurrence keeps its prior coefficients as integer numerators e_k over one
 common denominator L, c_k = e_k / L, so each step's weighted sum is a plain
 int sum whose every inner step multiplies by a small int, and c_s comes from
-a fixed number of ``Fraction`` operations; L grows to lcm(L, denominator of
-c_s) when c_s needs it, and the numerators are then rescaled once.  The pi
+a fixed number of ``Fraction`` operations; each step L grows to lcm(L,
+denominator of c_s) and the numerators are rescaled with it (through
+s = 512 every c_s brings a factor L lacks, so no step skips it).  The pi
 powers cancel symbolically; pi never enters an exact computation.
 """
 
@@ -65,7 +66,6 @@ __all__ = [
     "EulerZetaValue",
     "AGREEING_METHODS",
     "zeta_even_closed_form",
-    "euler_zeta_closed_form",
     "euler_zeta",
     "euler_zeta_coefficients",
     "leeryoo_constant",
@@ -77,7 +77,12 @@ __all__ = [
 
 
 class Method(enum.Enum):
-    """Computation routes; the values double as the CLI spellings."""
+    """Computation routes; the values double as the CLI spellings.
+
+    The one way to choose a route or a Lee-Ryoo constant.  Declaration
+    order is the order of ``--methods all`` and of the ``bench`` rows, so
+    CSV diffs stay stable.
+    """
 
     NEW_THEOREM = "new-theorem"
     COROLLARY = "corollary"
@@ -121,14 +126,6 @@ def zeta_even_closed_form(n: int) -> Fraction:
     return sign * bernoulli(2 * n) * Fraction(2 ** (2 * n), 2 * math.factorial(2 * n))
 
 
-def euler_zeta_closed_form(s: int) -> EulerZetaValue:
-    """Oracle value via the eta/zeta relation zeta_E(2s) = (1 - 2**(1-2s)) zeta(2s)."""
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    coeff = (1 - Fraction(1, 2 ** (2 * s - 1))) * zeta_even_closed_form(s)
-    return EulerZetaValue(s, coeff)
-
-
 # ---------------------------------------------------------------------------
 # substitution-identity sums
 # ---------------------------------------------------------------------------
@@ -169,25 +166,26 @@ def sum_identity_x1_rhs(s: int) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def leeryoo_constant(s: int, variant: str = "derived") -> Fraction:
+def leeryoo_constant(s: int, method: Method = Method.LEERYOO_DERIVED) -> Fraction:
     """Constant term K(s) of the Lee-Ryoo recurrence, s >= 2.
 
-    Both variants share the numerator 2**(2s+1) - 12 s**2 + 3 over
+    Both Lee-Ryoo methods share the numerator 2**(2s+1) - 12 s**2 + 3 over
     2**(2s+1) (2s-1) X:
 
-    * ``printed``  X = 2s+3, exactly as the recurrence circulates;
-    * ``derived``  X = 2s+1, which is what differencing the x=1 identity at
-      s and s-1 actually yields (K(s) = R(s) - R(s-1) with R given by
-      :func:`sum_identity_x1_rhs`).
+    * ``LEERYOO_PRINTED``  X = 2s+3, exactly as the recurrence circulates;
+    * ``LEERYOO_DERIVED``  X = 2s+1, which is what differencing the x=1
+      identity at s and s-1 actually yields (K(s) = R(s) - R(s-1) with R
+      given by :func:`sum_identity_x1_rhs`).
 
-    The printed variant is retained purely to document the erratum.
+    The printed constant is retained purely to document the erratum.  Any
+    other method, or a string, raises ValueError.
     """
     if s < 2:
         raise ValueError("s must be >= 2")
-    if variant not in ("printed", "derived"):
-        raise ValueError("variant must be 'printed' or 'derived'")
+    if method not in (Method.LEERYOO_PRINTED, Method.LEERYOO_DERIVED):
+        raise ValueError(f"method must be a Lee-Ryoo Method member, not {method!r}")
     numerator = 2 ** (2 * s + 1) - 12 * s * s + 3
-    last = (2 * s + 3) if variant == "printed" else (2 * s + 1)
+    last = (2 * s + 3) if method is Method.LEERYOO_PRINTED else (2 * s + 1)
     return Fraction(numerator, 2 ** (2 * s + 1) * (2 * s - 1) * last)
 
 
@@ -214,8 +212,7 @@ def _next_coefficient(method: Method, s: int, numerators: list[int], common: int
             # The x=1 relation weighs c_k by a further 4**-k, and its step
             # carries 4**s outside the sum; 4**s goes into the constant and
             # into the values, as e_k 4**(s-k).
-            variant = "printed" if method is Method.LEERYOO_PRINTED else "derived"
-            constant = leeryoo_constant(s, variant) * 4**s
+            constant = leeryoo_constant(s, method) * 4**s
             values = [e << 2 * (s - k) for k, e in enumerate(numerators, start=1)]
         total = _expansion_sum(s, values) - _expansion_sum(s - 1, values)
     return (-1) ** s * prefactor * (constant + Fraction(total, common))
@@ -236,7 +233,11 @@ def euler_zeta_coefficients(s_max: int, method: Method = Method.NEW_THEOREM) -> 
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
     if method is Method.CLOSED_FORM:
-        return [euler_zeta_closed_form(s).coeff for s in range(1, s_max + 1)]
+        # zeta_E(2s) = (1 - 2**(1-2s)) zeta(2s), the eta/zeta relation.
+        return [
+            (1 - Fraction(1, 2 ** (2 * s - 1))) * zeta_even_closed_form(s)
+            for s in range(1, s_max + 1)
+        ]
     table: list[Fraction] = []
     numerators: list[int] = []  # c_k = numerators[k-1] / common
     common = 1
@@ -244,9 +245,8 @@ def euler_zeta_coefficients(s_max: int, method: Method = Method.NEW_THEOREM) -> 
         coeff = _next_coefficient(method, s, numerators, common)
         table.append(coeff)
         grow = coeff.denominator // math.gcd(common, coeff.denominator)
-        if grow > 1:
-            numerators = [e * grow for e in numerators]
-            common *= grow
+        numerators = [e * grow for e in numerators]
+        common *= grow
         numerators.append(coeff.numerator * (common // coeff.denominator))
     return table
 

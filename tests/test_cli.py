@@ -15,7 +15,6 @@ from euler_zeta import cli, exactmath
 from euler_zeta import verify as verification
 from euler_zeta.cli import (
     CSV_HEADER,
-    METHOD_ORDER,
     _write_values,
     build_parser,
     format_exact,
@@ -247,7 +246,7 @@ class TestTable:
         assert code == 0
         records = json.loads(out)
         assert len(records) == 10  # 5 methods x 2 values of s
-        assert [r["method"] for r in records[:5]] == [m.value for m in METHOD_ORDER]
+        assert [r["method"] for r in records[:5]] == [m.value for m in Method]
 
     def test_one_table_per_method(self, capsys, monkeypatch):
         # Each method's table comes from one forward pass, not one call per row.
@@ -262,7 +261,7 @@ class TestTable:
         code, out, _ = run_cli(capsys, "table", "--s-max", "20", "--methods", "all")
         assert code == 0
         assert len(out.splitlines()) == 100
-        assert calls == [(20, method) for method in METHOD_ORDER]
+        assert calls == [(20, method) for method in Method]
 
     def test_one_row_json_is_an_array(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--s-max", "1", "--format", "json")
@@ -395,7 +394,7 @@ class TestBench:
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == ["method", "s_max", "repeats", "best_seconds", "max_coefficient_bits"]
-        assert [row[0] for row in rows[1:]] == [m.value for m in METHOD_ORDER]
+        assert [row[0] for row in rows[1:]] == [m.value for m in Method]
         for row in rows[1:]:
             assert float(row[3]) >= 0
             assert int(row[4]) > 0
@@ -429,13 +428,13 @@ class TestEntryPoint:
             "AGREEING_METHODS", "DecimalApprox", "DegenerateSystem", "EulerZetaValue",
             "Family", "LinearRelation", "Method", "PiPolynomial",
             "QuadratureBudgetExceeded", "bernoulli", "bernoulli_akiyama_tanigawa",
-            "euler_zeta", "euler_zeta_closed_form", "euler_zeta_coefficients",
+            "euler_zeta", "euler_zeta_coefficients",
             "euler_zeta_series", "eval_pi_polynomial", "fourier_coefficient",
             "fourier_coefficient_numeric", "leeryoo_constant", "partial_sum",
             "pi_decimal", "relation_at", "solve_triangular", "sum_identity_x0_lhs",
             "sum_identity_x1_lhs", "sum_identity_x1_rhs", "zeta_even_closed_form",
         }
-        assert len(euler_zeta.__all__) == 27
+        assert len(euler_zeta.__all__) == 26
         assert all(hasattr(euler_zeta, name) for name in euler_zeta.__all__)
 
     def test_import_leaves_numpy_unloaded(self):

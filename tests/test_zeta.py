@@ -19,7 +19,6 @@ from euler_zeta.zeta import (
     Method,
     EulerZetaValue,
     euler_zeta,
-    euler_zeta_closed_form,
     euler_zeta_coefficients,
     euler_zeta_series,
     leeryoo_constant,
@@ -58,16 +57,16 @@ class TestClosedForms:
         assert zeta_even_closed_form(3) == Fraction(1, 945)
 
     def test_euler_zeta_coefficients(self):
-        assert euler_zeta_closed_form(1).coeff == Fraction(1, 12)
-        assert euler_zeta_closed_form(2).coeff == Fraction(7, 720)
-        assert euler_zeta_closed_form(3).coeff == Fraction(31, 30240)
-        assert euler_zeta_closed_form(4).coeff == Fraction(127, 1209600)
+        assert euler_zeta(1, Method.CLOSED_FORM).coeff == Fraction(1, 12)
+        assert euler_zeta(2, Method.CLOSED_FORM).coeff == Fraction(7, 720)
+        assert euler_zeta(3, Method.CLOSED_FORM).coeff == Fraction(31, 30240)
+        assert euler_zeta(4, Method.CLOSED_FORM).coeff == Fraction(127, 1209600)
 
     def test_domain(self):
         with pytest.raises(ValueError):
             zeta_even_closed_form(0)
         with pytest.raises(ValueError):
-            euler_zeta_closed_form(0)
+            euler_zeta(0, Method.CLOSED_FORM)
 
 
 class TestRecurrences:
@@ -168,19 +167,24 @@ class TestRecurrences:
 
 class TestLeeRyooConstant:
     def test_frozen_values(self):
-        assert leeryoo_constant(2, "printed") == Fraction(-13, 672)
-        assert leeryoo_constant(2, "derived") == Fraction(-13, 480)
-        assert leeryoo_constant(3, "derived") == Fraction(23, 4480)
+        assert leeryoo_constant(2, Method.LEERYOO_PRINTED) == Fraction(-13, 672)
+        assert leeryoo_constant(2, Method.LEERYOO_DERIVED) == Fraction(-13, 480)
+        assert leeryoo_constant(3, Method.LEERYOO_DERIVED) == Fraction(23, 4480)
+        assert leeryoo_constant(3) == leeryoo_constant(3, Method.LEERYOO_DERIVED)
 
     def test_variants_always_differ(self):
         for s in range(2, 33):
-            assert leeryoo_constant(s, "printed") != leeryoo_constant(s, "derived")
+            printed = leeryoo_constant(s, Method.LEERYOO_PRINTED)
+            assert printed != leeryoo_constant(s, Method.LEERYOO_DERIVED)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            leeryoo_constant(1, "derived")
-        with pytest.raises(ValueError):
-            leeryoo_constant(2, "corrected")
+            leeryoo_constant(1, Method.LEERYOO_DERIVED)
+        # Only the two Lee-Ryoo members choose a constant: no string, the
+        # CLI spelling included, and no other route.
+        for method in ("printed", "derived", "leeryoo-printed", Method.NEW_THEOREM, None):
+            with pytest.raises(ValueError):
+                leeryoo_constant(2, method)
 
 
 class TestSumIdentities:
@@ -233,7 +237,6 @@ class TestDifferencedWeights:
     def test_leeryoo_integer_weights_equal_quarter_fractions(self, method):
         # The Lee-Ryoo step with 4**-k kept as one Fraction per term and 4**s
         # outside the sum, as the x=1 relation states it.
-        variant = "printed" if method is Method.LEERYOO_PRINTED else "derived"
         table = [Fraction(1, 12)]
         for s in range(2, 65):
             weights = [
@@ -243,7 +246,7 @@ class TestDifferencedWeights:
                 )
                 for k in range(1, s)
             ]
-            total = leeryoo_constant(s, variant) + sum(map(operator.mul, table, weights))
+            total = leeryoo_constant(s, method) + sum(map(operator.mul, table, weights))
             table.append((-1) ** s * Fraction(4**s, math.factorial(2 * s)) * total)
         assert euler_zeta_coefficients(64, method) == table
 
@@ -285,7 +288,7 @@ class TestSeries:
     @pytest.mark.parametrize("s,terms", [(1, 50), (2, 40), (3, 25)])
     def test_enclosure_against_closed_form(self, s, terms):
         series = euler_zeta_series(s, terms)
-        limit = euler_zeta_closed_form(s).decimal(30)
+        limit = euler_zeta(s, Method.CLOSED_FORM).decimal(30)
         gap = abs(Fraction(series.value) - Fraction(limit.value))
         assert gap <= Fraction(series.abs_error_bound) + Fraction(limit.abs_error_bound)
 
@@ -346,7 +349,7 @@ class TestValueBehaviour:
     def test_values_increase_strictly_toward_one(self):
         previous_hi = None
         for s in range(1, 21):
-            enclosure = euler_zeta_closed_form(s).decimal(30)
+            enclosure = euler_zeta(s, Method.CLOSED_FORM).decimal(30)
             lo, hi = enclosure.bounds()
             assert hi < 1
             if previous_hi is not None:

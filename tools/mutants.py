@@ -137,6 +137,14 @@ MUTANTS = [
         "        values = [(2 * k - 1) * (2 * s - k) * e for k, e in enumerate(numerators, start=1)]\n",
         "        values = [(2 * k + 1) * (2 * s - k) * e for k, e in enumerate(numerators, start=1)]\n",
     ),
+    # The Lee-Ryoo constant's last denominator factor, 2s+3 as printed and
+    # 2s+1 as derived.
+    Mutant(
+        "Lee-Ryoo variant test inverted",
+        "src/euler_zeta/zeta.py",
+        "    last = (2 * s + 3) if method is Method.LEERYOO_PRINTED else (2 * s + 1)\n",
+        "    last = (2 * s + 3) if method is not Method.LEERYOO_PRINTED else (2 * s + 1)\n",
+    ),
     # The Lee-Ryoo values e_k 4**(s-k), and the sum every recurrence step
     # adds to its constant.
     Mutant(
@@ -191,8 +199,8 @@ MUTANTS = [
     Mutant(
         "numerators not rescaled when the common denominator grows",
         "src/euler_zeta/zeta.py",
-        "            numerators = [e * grow for e in numerators]\n",
-        "            pass\n",
+        "        numerators = [e * grow for e in numerators]\n",
+        "        pass\n",
     ),
 ]
 
