@@ -135,6 +135,14 @@ def fourier_coefficient_numeric(
         raise ValueError("tol must be positive and finite")
     bound = Decimal(str(tol))
     p = 2 * m
+    # roundoff below is at least 2 node >= 2**(p+1) theta, and theta exceeds
+    # (p+1) u, so a tol at or below 2**(p+1) (p+1) u fails its test; checked
+    # first, a large m raises before the arithmetic on (1 + u)**(p+1).
+    if Fraction(bound) <= 2 ** (p + 1) * (p + 1) * _U:
+        raise QuadratureBudgetExceeded(
+            f"tol={tol} is below the roundoff floor, which exceeds "
+            f"{p + 1} * 2**{p - 52} (m={m}, n={n})"
+        )
 
     pi_lo, pi_hi = pi_decimal(20).bounds()
     w_hi = n * pi_hi / 2

@@ -288,7 +288,7 @@ def _suite_monotonicity(s_max: int) -> SuiteResult:
 #: and of two at 512, given as 64 / 512:
 #:
 #:   sum-identity-x1    0.04 / 22.2    documented-erratum       0.03 / 12.8
-#:   series-enclosure   0.10 /  0.10   perm-diff                0.00 /  2.8
+#:   series-enclosure   0.09 /  0.09   perm-diff                0.00 /  2.8
 #:   sum-identity-x0    0.04 / 17.9    bernoulli-oracle         0.03 /  0.04
 #:   monotonicity       0.03 / 13.1    partial-sum-convergence  0.02 /  0.04
 #:   method-agreement   0.04 / 12.8    triangular-solve         0.01 /  0.02

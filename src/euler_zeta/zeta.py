@@ -47,8 +47,6 @@ import enum
 import math
 from collections import namedtuple
 from fractions import Fraction
-from itertools import islice, repeat
-from operator import floordiv, rshift
 
 from .exactmath import (
     DecimalApprox,
@@ -269,28 +267,29 @@ def euler_zeta(s: int, method: Method = Method.NEW_THEOREM) -> EulerZetaValue:
 # ---------------------------------------------------------------------------
 
 
-#: Odd n per chunk of ``euler_zeta_series``.  A chunk's floors are kept in
-#: one list for the shifts that give their even multiples; one list of all
-#: 5 * 10**5 odd floors of a 10**6-term sum would add about 20 MB to the
-#: process's peak memory.
-_SERIES_CHUNK = 8192
-
-
 def euler_zeta_series(s: int, terms: int) -> DecimalApprox:
     """Partial sum of sum_{n>=1} (-1)**(n-1) / n**(2s) with a proven bound.
 
-    Scaled-integer summation: each term is floored at a working precision
-    chosen well below the alternating-series tail 1/(terms+1)**(2s); the
-    reported bound is that tail plus the tracked per-term floor error, so
-    the enclosure is guaranteed to contain the limit zeta_E(2s).
+    Scaled-integer summation: each odd term is floored at a working
+    precision chosen well below the alternating-series tail
+    1/(terms+1)**(2s); the reported bound is that tail plus the tracked
+    floor error, so the enclosure is guaranteed to contain the limit
+    zeta_E(2s).
 
-    Only the odd terms are divided out, each by 2s nested divisions by n:
-    the nested-floor identity floor(floor(x / a) / b) = floor(x / (a b))
-    makes them T(n) = floor(10**work / n**(2s)) with no power of n built,
-    and an n below 2**30 is one CPython digit.  The same identity gives
-    T(2n) = T(n) >> 2s, so an odd n's floor also gives the terms at 2n, 4n,
-    ... by shifts.  The odd floors are summed in chunks of ``_SERIES_CHUNK``,
-    so the memory held stays that of one chunk whatever the term count.
+    Every even n <= terms is o * 2**k with o odd and o <= terms >> k, so the
+    partial sum S is O_0 - sum_{k=1}^{K} O_k / 2**(2s k), where O_k sums
+    1/o**(2s) over the odd o <= terms >> k and K = terms.bit_length() - 1.
+    These ranges grow as k falls from K to 0, so one running sum ``odd``
+    takes each odd n once, as T(n) = floor(10**work / n**(2s)) by one
+    division, and is shifted once per range, not once per even term.
+
+    The error, proof: let I count the odd n <= terms whose n**(2s) does not
+    divide 10**work, which is all of them but the powers 5**b with
+    2s b <= work.  When it is read for O_k, ``odd`` lies below
+    O_k 10**work by F_k, where 0 <= F_k <= F_0 <= I, and each of the K
+    shifts floors away less than 1 more.  So acc - S 10**work, which is
+    -F_0 + sum_{k>=1} F_k / 4**(s k) plus the shifts' losses, lies in
+    [-I, K + I/3], and the bound adds (I + K) 10**-work to the tail.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -302,28 +301,18 @@ def euler_zeta_series(s: int, terms: int) -> DecimalApprox:
     work = tail_den.bit_length() * 30103 // 100000 + 14
     scale = 10**work
 
-    acc = 0
-    for lo in range(1, terms + 1, 2 * _SERIES_CHUNK):
-        ns = range(lo, min(lo + 2 * _SERIES_CHUNK, terms + 1), 2)
-        floors = repeat(scale)
-        for _ in range(exponent):
-            floors = map(floordiv, floors, ns)
-        floors = list(floors)
-        acc += sum(floors)
-        k = 1
-        while lo << k <= terms:
-            # the chunk's odd n with n * 2**k <= terms, a prefix of the chunk
-            count = len(range(lo, min(ns.stop, (terms >> k) + 1), 2))
-            acc -= sum(map(rshift, islice(floors, count), repeat(exponent * k)))
-            k += 1
-    # n**exponent divides 10**work exactly when n = 2**a * 5**b with
-    # exponent * a <= work and exponent * b <= work; every other term floors.
-    top = work // exponent + 1
-    exact = sum(
-        1 for a in range(top) for b in range(top) if 2**a * 5**b <= terms
-    )
-    inexact = terms - exact
-    bound = Fraction(1, tail_den) + Fraction(inexact, scale)
+    depth = terms.bit_length() - 1
+    acc = odd = 0
+    lo = 1  # the least odd n not yet in odd
+    for k in range(depth, -1, -1):
+        hi = terms >> k
+        odd += sum(scale // n**exponent for n in range(lo, hi + 1, 2))
+        lo = (hi + 1) | 1
+        acc += odd if k == 0 else -(odd >> exponent * k)
+    # The odd n whose n**exponent divides 10**work: 5**b, exponent * b <= work.
+    exact = sum(5**b <= terms for b in range(work // exponent + 1))
+    inexact = (terms + 1) // 2 - exact
+    bound = Fraction(1, tail_den) + Fraction(inexact + depth, scale)
     return DecimalApprox(
         _decimal_from_scaled(acc, work), _ceil_to_decimal(bound, work)
     )

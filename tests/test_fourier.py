@@ -205,6 +205,19 @@ class TestQuadrature:
             fourier_coefficient_numeric(1, 10**9, tol)
         assert time.perf_counter() - start < 0.5
 
+    @pytest.mark.parametrize("m", [10**4, 10**5])
+    def test_huge_m_raises_before_any_node(self, monkeypatch, m):
+        # 2**(2m+1) (2m+1) 2**-53 alone exceeds tol, so the check comes
+        # before the arithmetic on 2**(2m) and (1 + 2**-53)**(2m+1).
+        def no_nodes(x):
+            raise AssertionError("a node was evaluated")
+
+        monkeypatch.setattr(math, "cos", no_nodes)
+        start = time.perf_counter()
+        with pytest.raises(QuadratureBudgetExceeded, match="roundoff floor"):
+            fourier_coefficient_numeric(m, 1, 1e-6)
+        assert time.perf_counter() - start < 0.5
+
     def test_domain(self):
         with pytest.raises(ValueError):
             fourier_coefficient_numeric(0, 1, 1e-6)

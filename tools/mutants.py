@@ -1,6 +1,6 @@
 """Mutation check: every listed one-line fault must fail the tier-1 tests.
 
-Usage, from the repository root (about 85 s on two cores):
+Usage, from the repository root (about 145 s on two cores):
 
     python tools/mutants.py
 
@@ -159,26 +159,26 @@ MUTANTS = [
         "    return (-1) ** s * prefactor * (constant + Fraction(total, common))\n",
         "    return (-1) ** s * prefactor * (constant - Fraction(total, common))\n",
     ),
-    # The series sum's odd terms, each floored by 2s nested divisions by n.
+    # The series sum: each range sum of odd floors shifted by 2s per level,
+    # and the bound's floor count, the K shifts plus every odd n but the
+    # powers 5**b whose n**(2s) divides the working scale.
     Mutant(
-        "series floors one division short",
+        "series range sum shifted one level too deep",
         "src/euler_zeta/zeta.py",
-        "        for _ in range(exponent):\n",
-        "        for _ in range(exponent - 1):\n",
-    ),
-    # The series sum's even terms, each an odd term's floor shifted by 2s
-    # per factor 2, while the multiple stays within the term count.
-    Mutant(
-        "series even term shifted one level too deep",
-        "src/euler_zeta/zeta.py",
-        "            acc -= sum(map(rshift, islice(floors, count), repeat(exponent * k)))\n",
-        "            acc -= sum(map(rshift, islice(floors, count), repeat(exponent * (k + 1))))\n",
+        "        acc += odd if k == 0 else -(odd >> exponent * k)\n",
+        "        acc += odd if k == 0 else -(odd >> exponent * (k + 1))\n",
     ),
     Mutant(
-        "series last even multiple dropped",
+        "series bound without the shifts' floors",
         "src/euler_zeta/zeta.py",
-        "        while lo << k <= terms:\n",
-        "        while lo << k < terms:\n",
+        "    bound = Fraction(1, tail_den) + Fraction(inexact + depth, scale)\n",
+        "    bound = Fraction(1, tail_den) + Fraction(inexact, scale)\n",
+    ),
+    Mutant(
+        "series powers of 5 counted one too far",
+        "src/euler_zeta/zeta.py",
+        "    exact = sum(5**b <= terms for b in range(work // exponent + 1))\n",
+        "    exact = sum(5**b <= terms for b in range(work // exponent + 2))\n",
     ),
     # The triangular solve's elimination step: v_i = -residual / pivot with
     # v_i set to 0 in the residual.
