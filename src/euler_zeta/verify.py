@@ -36,9 +36,9 @@ that factorial form stated.
 
 Each suite computes its own coefficient tables; no table outlives the
 call that asked for it.  pi is computed anew on each call; the one memo
-left is the Bernoulli table, which is per process: ``run_all`` spreads the
-suites over forked workers, and which process runs a suite, and so how much
-of the table it finds filled, is not fixed.
+left is the Bernoulli table.  ``run_all`` fills it through B_{2 s_max}
+once, before it forks, so every worker inherits the table that the
+closed forms read instead of each paying the fill.
 """
 
 from __future__ import annotations
@@ -283,23 +283,25 @@ def _suite_monotonicity(s_max: int) -> SuiteResult:
     )
 
 
-#: Claim order, longest first.  Seconds per suite, each run alone in a new
-#: process (2 vCPU, Python 3.11.7), the lowest of three runs at --s-max 64
-#: and of two at 512, given as 64 / 512:
+#: Claim order.  Seconds per suite, each run alone in a new process after
+#: ``bernoulli(2 * s_max)``, the fill ``run_all`` pays before it forks
+#: (2 vCPU, Python 3.11.7), the lowest of three runs at --s-max 64 and of
+#: two at 512, given as 64 / 512:
 #:
-#:   sum-identity-x1    0.04 / 22.2    documented-erratum       0.03 / 12.8
-#:   series-enclosure   0.09 /  0.09   perm-diff                0.00 /  2.8
-#:   sum-identity-x0    0.04 / 17.9    bernoulli-oracle         0.03 /  0.04
-#:   monotonicity       0.03 / 13.1    partial-sum-convergence  0.02 /  0.04
-#:   method-agreement   0.04 / 12.8    triangular-solve         0.01 /  0.02
-#:                                     fourier-quadrature       0.01 /  0.02
+#:   sum-identity-x1          0.018 / 7.08   documented-erratum  0.007 / 0.64
+#:   partial-sum-convergence  0.036 / 0.02   monotonicity        0.007 / 0.26
+#:   sum-identity-x0          0.012 / 6.53   fourier-quadrature  0.022 / 0.02
+#:   perm-diff                0.003 / 1.85   triangular-solve    0.011 / 0.01
+#:   method-agreement         0.012 / 0.93   series-enclosure    0.004 / 0.00
+#:                                           bernoulli-oracle    0.002 / 0.00
 #:
-#: At 512 about 12 s of each closed-form suite's figure is the Bernoulli
-#: fill, which a process pays once; method-agreement's three recurrences
-#: take about 1.2 s of the rest.  series-enclosure takes no s_max: its
-#: 10**6-term sum costs the same at both sizes.  sum-identity-x1 leads at
-#: 512 and series-enclosure at 64; the rest follow their cost at 512
-#: (method-agreement and documented-erratum are level there), then at 64.
+#: partial-sum-convergence, fourier-quadrature and series-enclosure take no
+#: s_max, and triangular-solve runs at min(s_max, 32).  The order below was
+#: set longest first from costs measured while each worker paid its own
+#: fill and series-enclosure summed 10**6 terms one by one.  Sorted by the
+#: figures above instead, verify read 0.200 -> 0.178 s median wall over 5
+#: alternating harness pairs, lower in only 3 and within the old order's
+#: own spread of 0.153-0.203 s, so the order is kept.
 _LONGEST_FIRST = (
     _suite_sum_identity_x1,
     _suite_series_enclosure,
@@ -355,8 +357,9 @@ def run_all(s_max: int) -> list[SuiteResult]:
     raised) back.  With one CPU, without ``os.fork`` or with another thread
     alive (a fork copies no thread, but may copy a lock one holds), no child
     is forked and the caller claims every suite through the same loop; if a
-    fork fails, the workers already started share the claims.  Results come
-    back in the printed order.
+    fork fails, the workers already started share the claims.  The caller
+    fills the Bernoulli memo through B_{2 s_max} before any fork.  Results
+    come back in the printed order.
     """
     if s_max < 2:
         raise ValueError("s_max must be >= 2")
@@ -373,6 +376,7 @@ def run_all(s_max: int) -> list[SuiteResult]:
         partial(_suite_triangular_solve, min(s_max, 32)),
         partial(_suite_monotonicity, s_max),
     ]
+    bernoulli(2 * s_max)  # the closed forms' fill, paid once for every worker
     workers = min(_usable_cpus(), len(suites))
     if not hasattr(os, "fork") or threading.active_count() > 1:
         workers = 1

@@ -54,6 +54,7 @@ from .exactmath import (
     _ceil_to_decimal,
     _decimal_from_scaled,
     bernoulli,
+    bernoulli_akiyama_tanigawa,
     eval_pi_polynomial,
 )
 from .fourier import _expansion_sum
@@ -267,29 +268,107 @@ def euler_zeta(s: int, method: Method = Method.NEW_THEOREM) -> EulerZetaValue:
 # ---------------------------------------------------------------------------
 
 
+#: The series' least head: each power sum takes its n <= head one by one
+#: and the rest together, by Euler-Maclaurin.
+_SERIES_HEAD = 1000
+#: The most Euler-Maclaurin correction terms one power sum takes.
+_EM_TERMS = 60
+
+
+def _euler_maclaurin(
+    e: int, a: int, ulp: Fraction
+) -> tuple[list[tuple[Fraction, int]], Fraction]:
+    # The correction terms of sum_{a <= n <= m} n**-e, as pairs (c, power)
+    # whose term is c (a**-power - m**-power) at every m >= a, and a bound on
+    # the remainder: twice the first term left out, at m = infinity.
+    bern = bernoulli_akiyama_tanigawa(2 * _EM_TERMS + 2)
+    corrections = []
+    rising, factorial, previous = e, 2, math.inf  # e (e+1) ... (e+2k-2), (2k)!
+    for k in range(1, _EM_TERMS + 2):
+        power = e + 2 * k - 1  # f^(2k-1)(t) = -rising t**-power
+        c = bern[2 * k] / factorial * rising
+        size = abs(c) / a**power
+        if k > _EM_TERMS or 2 * size <= ulp or size >= previous:
+            return corrections, 2 * size
+        corrections.append((c, power))
+        previous = size
+        rising *= power * (power + 1)
+        factorial *= (2 * k + 1) * (2 * k + 2)
+
+
+def _power_sum(
+    e: int, a: int, last: int, corrections: list[tuple[Fraction, int]]
+) -> Fraction:
+    # sum_{a <= n <= last} n**-e by Euler-Maclaurin, less its remainder.
+    if last < a:
+        return Fraction(0)
+    total = (Fraction(1, a ** (e - 1)) - Fraction(1, last ** (e - 1))) / (e - 1)
+    total += (Fraction(1, a**e) + Fraction(1, last**e)) / 2
+    for c, power in corrections:
+        total += c * (Fraction(1, a**power) - Fraction(1, last**power))
+    return total
+
+
+def _series_tails(
+    e: int, terms: int, ulp: Fraction
+) -> tuple[int, Fraction, Fraction, Fraction]:
+    # The head, the sums of n**-e over head < n <= terms and over
+    # head < n <= terms // 2, and a bound on the error of each.  The head
+    # doubles from _SERIES_HEAD until that bound is at most ulp; once it
+    # reaches terms, there is nothing past it.
+    head = _SERIES_HEAD
+    while head < terms:
+        a = head + 1
+        corrections, remainder = _euler_maclaurin(e, a, ulp)
+        if remainder <= ulp:
+            past = _power_sum(e, a, terms, corrections)
+            return head, past, _power_sum(e, a, terms // 2, corrections), remainder
+        head *= 2
+    return terms, Fraction(0), Fraction(0), Fraction(0)
+
+
 def euler_zeta_series(s: int, terms: int) -> DecimalApprox:
     """Partial sum of sum_{n>=1} (-1)**(n-1) / n**(2s) with a proven bound.
 
-    Scaled-integer summation: each odd term is floored at a working
-    precision chosen well below the alternating-series tail
-    1/(terms+1)**(2s); the reported bound is that tail plus the tracked
-    floor error, so the enclosure is guaranteed to contain the limit
-    zeta_E(2s).
+    The enclosure contains the limit zeta_E(2s): its bound is the
+    alternating-series tail 1/(terms+1)**(2s) plus the error of the partial
+    sum S, which is computed at ``work`` digits, well below that tail.  The
+    cost grows with the head, not with ``terms``.
 
-    Every even n <= terms is o * 2**k with o odd and o <= terms >> k, so the
-    partial sum S is O_0 - sum_{k=1}^{K} O_k / 2**(2s k), where O_k sums
-    1/o**(2s) over the odd o <= terms >> k and K = terms.bit_length() - 1.
-    These ranges grow as k falls from K to 0, so one running sum ``odd``
-    takes each odd n once, as T(n) = floor(10**work / n**(2s)) by one
-    division, and is shifted once per range, not once per even term.
+    The split: the even n of S are the n of H(terms // 2), each divided by
+    2**(2s), so
 
-    The error, proof: let I count the odd n <= terms whose n**(2s) does not
-    divide 10**work, which is all of them but the powers 5**b with
-    2s b <= work.  When it is read for O_k, ``odd`` lies below
-    O_k 10**work by F_k, where 0 <= F_k <= F_0 <= I, and each of the K
-    shifts floors away less than 1 more.  So acc - S 10**work, which is
-    -F_0 + sum_{k>=1} F_k / 4**(s k) plus the shifts' losses, lies in
-    [-I, K + I/3], and the bound adds (I + K) 10**-work to the tail.
+        S = H(terms) - 2**(1-2s) H(terms // 2),   H(m) = sum_{n<=m} n**(-2s).
+
+    Each H takes its n <= head one by one, as floor(10**work / n**(2s)),
+    and the n past the head together, as an exact rational by the
+    Euler-Maclaurin formula (DLMF 2.10.1) from a = head + 1, with
+    f(x) = x**(-2s) and correction terms
+    B_2k / (2k)! (f^(2k-1)(m) - f^(2k-1)(a)), where
+    f^(j)(x) = (-1)**j 2s (2s+1) ... (2s+j-1) x**(-2s-j).  After p terms the
+    remainder integrates (B_{2p+2} - B~_{2p+2}(x)) / (2p+2)! against
+    f^(2p+2) > 0 over [a, m], and |B~_{2p+2}(x) - B_{2p+2}| <= 2 |B_{2p+2}|,
+    so it is at most r = 2 |B_{2p+2}| / (2p+2)! |f^(2p+1)(a)|, twice the
+    first term left out at m = infinity; one r serves both H.
+    Terms are taken while they shrink and while r exceeds 10**-work, at most
+    ``_EM_TERMS`` of them.  The head starts at ``_SERIES_HEAD`` and doubles
+    until r is at most 10**-work, which a large 2s or ``terms`` needs; at
+    ``terms`` the sum is direct.  The scaled S is floored once.
+
+    The error, proof: a head floor falls short of 10**work / n**(2s) by less
+    than 1, and by nothing when n**(2s) divides 10**work, that is, when n
+    divides 10**(work // 2s).  The shortfalls of H(terms // 2) are among
+    those of H(terms) and enter scaled by -2**(1-2s), so together they come
+    to less than the count I <= head of inexact floors.  With the final
+    floor (counted when inexact) and the two remainders, each at most r (the
+    second enters scaled by 2**(1-2s) <= 1), S lies within
+    (I + 1) 10**-work + 2 r of the value.  The bound adds that to the tail,
+    so it stays within (head + 3) 10**-work of the tail.
+
+    The Bernoulli numbers come from the Akiyama-Tanigawa triangle, never
+    from :func:`~euler_zeta.exactmath.bernoulli`, the route whose closed
+    forms the ``series-enclosure`` suite of ``verify`` checks against this
+    sum; the series reads no pi, no recurrence and no memo.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
@@ -301,18 +380,16 @@ def euler_zeta_series(s: int, terms: int) -> DecimalApprox:
     work = tail_den.bit_length() * 30103 // 100000 + 14
     scale = 10**work
 
-    depth = terms.bit_length() - 1
-    acc = odd = 0
-    lo = 1  # the least odd n not yet in odd
-    for k in range(depth, -1, -1):
-        hi = terms >> k
-        odd += sum(scale // n**exponent for n in range(lo, hi + 1, 2))
-        lo = (hi + 1) | 1
-        acc += odd if k == 0 else -(odd >> exponent * k)
-    # The odd n whose n**exponent divides 10**work: 5**b, exponent * b <= work.
-    exact = sum(5**b <= terms for b in range(work // exponent + 1))
-    inexact = (terms + 1) // 2 - exact
-    bound = Fraction(1, tail_den) + Fraction(inexact + depth, scale)
+    head, past, halved, remainder = _series_tails(exponent, terms, Fraction(1, scale))
+    half_head = min(terms // 2, head)
+    floors_half = sum(scale // n**exponent for n in range(1, half_head + 1))
+    floors = floors_half + sum(scale // n**exponent for n in range(half_head + 1, head + 1))
+    root = 10 ** (work // exponent)  # n**exponent divides 10**work iff n divides root
+    inexact = sum(root % n != 0 for n in range(1, head + 1))
+    total = floors + scale * past - (floors_half + scale * halved) / 2 ** (exponent - 1)
+    acc, rest = divmod(total.numerator, total.denominator)
+    inexact += rest != 0
+    bound = Fraction(1, tail_den) + Fraction(inexact, scale) + 2 * remainder
     return DecimalApprox(
         _decimal_from_scaled(acc, work), _ceil_to_decimal(bound, work)
     )

@@ -4,14 +4,15 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from euler_zeta import exactmath, zeta
 from euler_zeta.cli import MAX_S
-from euler_zeta.exactmath import _ceil_to_decimal
 from euler_zeta.fourier import _expansion_weights
 from euler_zeta.zeta import (
     AGREEING_METHODS,
@@ -36,13 +37,14 @@ PARTIAL_SUM_S2_T10 = Fraction(7637983935923, 8065516032000)
 PI2_OVER_12 = Fraction(Decimal("0.8224670334241132182362075833230125946094"))
 
 
-# Term counts for the series checks: the powers of 5, whose n**(2s) can
-# divide the working scale exactly, and 2**j - 1, 2**j and 2**j + 1, at
-# which the range sums gain a level.
+# Term counts for the series checks at every head: both sides of twice the
+# small heads, where the halved power sum gains a tail of its own.
+SERIES_GRID = (1, 2, 3, 4, 5, 10, 11, 40, 41, 600)
+# Term counts past the real head: both sides of the head and of twice it,
+# 5**5, and 2**j - 1, 2**j and 2**j + 1.
 SERIES_TERMS = sorted(
-    {1, 2, 3, 4, 5, 8, 10, 16, 25, 99, 100, 1000, 4096, 10**4}
-    | {2**j + d for j in range(1, 14) for d in (-1, 0, 1)}
-    | {5**b for b in range(6)}
+    {1000, 1001, 2000, 2001, 5**5, 10**4}
+    | {2**j + d for j in range(10, 14) for d in (-1, 0, 1)}
 )
 
 
@@ -54,16 +56,9 @@ def _exact_partial_sum(s, terms):
     return Fraction(signed, common)
 
 
-def _series_contract(s, terms):
-    # The working digits, the tail and the bound euler_zeta_series must
-    # report: the tail plus (I + K) 10**-work, I counted by one remainder per
-    # odd n and K = terms.bit_length() - 1.
-    exponent = 2 * s
-    tail = Fraction(1, (terms + 1) ** exponent)
-    work = tail.denominator.bit_length() * 30103 // 100000 + 14
-    inexact = sum(10**work % n**exponent != 0 for n in range(1, terms + 1, 2))
-    floors = Fraction(inexact + terms.bit_length() - 1, 10**work)
-    return work, tail, _ceil_to_decimal(tail + floors, work)
+def _series_work(s, terms):
+    # The working digits of euler_zeta_series, set by its tail.
+    return ((terms + 1) ** (2 * s)).bit_length() * 30103 // 100000 + 14
 
 
 class TestClosedForms:
@@ -308,19 +303,88 @@ class TestSeries:
         gap = abs(Fraction(series.value) - Fraction(limit.value))
         assert gap <= Fraction(series.abs_error_bound) + Fraction(limit.abs_error_bound)
 
-    @pytest.mark.parametrize("s", [1, 2, 3, 4, 7, 13])
-    def test_partial_sum_within_the_floor_bound(self, s):
-        for terms in SERIES_TERMS:
-            work, tail, bound = _series_contract(s, terms)
-            approx = euler_zeta_series(s, terms)
-            assert approx.abs_error_bound == bound, terms
-            slack = Fraction(bound) - tail
-            assert slack <= Fraction(terms, 10**work), terms
-            # The common denominator takes seconds past about 1000 terms
-            # at s > 1, so there only the bound is checked.
-            if s == 1 or terms <= 1025:
-                gap = abs(Fraction(approx.value) - _exact_partial_sum(s, terms))
-                assert gap <= slack, terms
+    @pytest.mark.parametrize("s", [1, 2, 3, 4, 5, 7, 13])
+    def test_partial_sum_within_the_floor_bound(self, monkeypatch, s):
+        # The exact partial sum lies within bound - tail of the value, and
+        # bound - tail is at most (head + 3) 10**-work, head the one the sum
+        # took: from least heads 1, 2, 5 and 20 over the small counts, and
+        # from the real one over the counts past it too.  The exact sum's
+        # common denominator takes seconds past 1025 terms at s > 1.
+        real_head = zeta._SERIES_HEAD
+        for least in (1, 2, 5, 20, real_head):
+            monkeypatch.setattr(zeta, "_SERIES_HEAD", least)
+            sizes = SERIES_GRID + tuple(SERIES_TERMS if least == real_head else ())
+            for terms in sizes:
+                approx = euler_zeta_series(s, terms)
+                slack = Fraction(approx.abs_error_bound) - Fraction(1, (terms + 1) ** (2 * s))
+                ulp = Fraction(1, 10 ** _series_work(s, terms))
+                head = zeta._series_tails(2 * s, terms, ulp)[0]
+                assert slack <= (head + 3) * ulp, (least, terms)
+                if s == 1 or terms <= 1025:
+                    gap = abs(Fraction(approx.value) - _exact_partial_sum(s, terms))
+                    assert gap <= slack, (least, terms)
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 5])
+    def test_euler_maclaurin_remainder_bound(self, s):
+        # Over 50 (head, last) pairs per s, the exact power sum past the
+        # head lies within the remainder bound of its Euler-Maclaurin sum,
+        # however many correction terms the ulp of that size allows.
+        for head in (1, 2, 5, 20, 1000):
+            for last in SERIES_GRID:
+                ulp = Fraction(1, 10 ** _series_work(s, last))
+                corrections, remainder = zeta._euler_maclaurin(2 * s, head + 1, ulp)
+                exact = sum(Fraction(1, n ** (2 * s)) for n in range(head + 1, last + 1))
+                tail = zeta._power_sum(2 * s, head + 1, last, corrections)
+                assert abs(tail - exact) <= remainder, (head, last)
+
+    @pytest.mark.parametrize("s,terms", [(64, 10**5), (100, 10**4), (512, 2000)])
+    def test_large_s_grows_the_head(self, monkeypatch, s, terms):
+        # Where the correction terms cannot reach 10**-work from the least
+        # head, the head grows and bound - tail stays within
+        # (head + 3) 10**-work; the value agrees with the direct sum.
+        ulp = Fraction(1, 10 ** _series_work(s, terms))
+        tail = Fraction(1, (terms + 1) ** (2 * s))
+        head = zeta._series_tails(2 * s, terms, ulp)[0]
+        assert head > zeta._SERIES_HEAD
+        approx = euler_zeta_series(s, terms)
+        assert Fraction(approx.abs_error_bound) - tail <= (head + 3) * ulp
+        monkeypatch.setattr(zeta, "_SERIES_HEAD", terms)
+        direct = euler_zeta_series(s, terms)
+        gap = abs(Fraction(approx.value) - Fraction(direct.value))
+        assert gap <= Fraction(approx.abs_error_bound) + Fraction(direct.abs_error_bound) - 2 * tail
+
+    def test_bound_adds_both_remainders(self, monkeypatch):
+        # Each remainder is at most 10**-work, too small to see against the
+        # floors, so a large one stands in for it: the bound takes it once
+        # for each power sum.
+        tails = zeta._series_tails
+
+        def loose_tails(e, terms, ulp):
+            head, past, halved, _ = tails(e, terms, ulp)
+            return head, past, halved, Fraction(1, 10**6)
+
+        monkeypatch.setattr(zeta, "_series_tails", loose_tails)
+        approx = euler_zeta_series(1, 10**6)
+        assert Fraction(approx.abs_error_bound) >= Fraction(1, (10**6 + 1) ** 2) + Fraction(2, 10**6)
+
+    def test_far_partial_sum_costs_the_head_alone(self):
+        start = time.perf_counter()
+        approx = euler_zeta_series(1, 10**12)
+        assert time.perf_counter() - start < 1
+        assert Fraction(approx.abs_error_bound) <= Fraction(101, 10**26)
+        assert approx.contains(PI2_OVER_12)
+
+    def test_never_reads_the_bernoulli_memo(self, monkeypatch):
+        # The tail's Bernoulli numbers come from the Akiyama-Tanigawa
+        # triangle, so the series stays independent of the closed forms.
+        def bernoulli(n):
+            raise AssertionError(f"bernoulli({n}) read by the series")
+
+        monkeypatch.setattr(exactmath, "bernoulli", bernoulli)
+        monkeypatch.setattr(zeta, "bernoulli", bernoulli)
+        approx = euler_zeta_series(1, 10**6)
+        assert Fraction(approx.abs_error_bound) <= Fraction(1, 10**12)
+        assert approx.contains(PI2_OVER_12)
 
     def test_large_s_does_not_crash(self):
         # Nothing nests per unit of s; a 2s-deep chain of iterators crashed
