@@ -220,44 +220,27 @@ def _collect(
     return tuple(sorted((k, c) for k, c in acc.items() if c))
 
 
-class PiPolynomial:
+class PiPolynomial(tuple):
     """Finite exact sum  sum_k c_k * pi**(2k)  with rational c_k.
 
-    Keys are integer exponents k of pi**2 and may be negative (a key such as
-    1.5 raises TypeError instead of truncating); zero coefficients are never
-    stored, so equality and hashing are structural.  Instances are
-    immutable.
+    The tuple of its (k, c_k) pairs, sorted by k.  Keys are integer
+    exponents k of pi**2 and may be negative (a key such as 1.5 raises
+    TypeError instead of truncating); the coefficients of a repeated key
+    are summed and zero ones are never stored, so equality and hashing are
+    structural, and the zero polynomial is the empty tuple.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         terms: Mapping[int, Fraction | int] | Iterable[tuple[int, Fraction | int]] = (),
-    ) -> None:
-        object.__setattr__(self, "_terms", _collect(terms))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("PiPolynomial is immutable")
+    ) -> PiPolynomial:
+        return super().__new__(cls, _collect(terms))
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PiPolynomial):
-            return self._terms == other._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._terms)
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k}: {c}" for k, c in self._terms)
-        return f"PiPolynomial({{{body}}})"
+        return dict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -392,5 +375,5 @@ def eval_pi_polynomial(p: PiPolynomial, digits: int) -> DecimalApprox:
     if not p:
         return DecimalApprox(Decimal(0), Decimal(0))
     return _enclose_sum(
-        lambda: ((k, c.numerator, c.denominator) for k, c in p._terms), digits
+        lambda: ((k, c.numerator, c.denominator) for k, c in p), digits
     )

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
@@ -55,44 +56,45 @@ class DegenerateSystem(Exception):
     """A pivot is missing or zero, or the relation list is mis-ordered."""
 
 
-class LinearRelation:
+class LinearRelation(namedtuple("LinearRelation", "family pairs rhs")):
     """Exact equation sum_k q_k * v_k = rhs over one zeta family.
 
-    Indices must be integers (2.7 raises TypeError instead of truncating).
-    The coefficients of a repeated index are summed, as in
-    :class:`~euler_zeta.exactmath.PiPolynomial`, and zero ones are dropped;
-    the surviving set must be non-empty and its largest index carries the
-    relation's one new unknown.
+    `pairs` is given as a mapping or as (k, q_k) pairs and stored as the
+    tuple of (k, q_k) sorted by k.  Indices must be integers (2.7 raises
+    TypeError instead of truncating).  The coefficients of a repeated index
+    are summed, as in :class:`~euler_zeta.exactmath.PiPolynomial`, and zero
+    ones are dropped; the surviving set must be non-empty and its largest
+    index carries the relation's one new unknown.
     """
 
-    __slots__ = ("family", "_coeffs", "rhs")
+    __slots__ = ()
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         family: Family,
-        coefficients: Mapping[int, Fraction | int] | Iterable[tuple[int, Fraction | int]],
+        pairs: Mapping[int, Fraction | int] | Iterable[tuple[int, Fraction | int]],
         rhs: Fraction | int,
-    ) -> None:
-        cleaned = _collect(coefficients)
+    ) -> LinearRelation:
+        cleaned = _collect(pairs)
         if not cleaned:
             raise ValueError("a relation needs at least one nonzero coefficient")
         if any(k < 1 for k, _ in cleaned):
             raise ValueError("unknown indices start at 1")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "_coeffs", cleaned)
-        object.__setattr__(self, "rhs", Fraction(rhs))
+        return super().__new__(cls, family, cleaned, Fraction(rhs))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("LinearRelation is immutable")
+    @classmethod
+    def _make(cls, iterable: Iterable[object]) -> LinearRelation:
+        # namedtuple's own _make, which _replace calls, skips __new__.
+        return cls(*iterable)
 
     @property
     def coefficients(self) -> dict[int, Fraction]:
-        return dict(self._coeffs)
+        return dict(self.pairs)
 
     @property
     def order(self) -> int:
         """Index of the unknown this relation introduces."""
-        return self._coeffs[-1][0]
+        return self.pairs[-1][0]
 
     def residual(self, values: Sequence[Fraction]) -> Fraction:
         """sum_k q_k * values[k-1] - rhs; zero iff `values` satisfies it.
@@ -101,27 +103,11 @@ class LinearRelation:
         denominators, so the call builds one ``Fraction``.
         """
         terms = [(-self.rhs.numerator, self.rhs.denominator)]
-        for k, q in self._coeffs:
+        for k, q in self.pairs:
             v = values[k - 1]
             terms.append((q.numerator * v.numerator, q.denominator * v.denominator))
         common = math.lcm(*(den for _, den in terms))
         return Fraction(sum(num * (common // den) for num, den in terms), common)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, LinearRelation):
-            return (
-                self.family is other.family
-                and self._coeffs == other._coeffs
-                and self.rhs == other.rhs
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.family, self._coeffs, self.rhs))
-
-    def __repr__(self) -> str:
-        body = " + ".join(f"({q})*v{k}" for k, q in self._coeffs)
-        return f"LinearRelation[{self.family.value}] {body} = {self.rhs}"
 
 
 # x -> (family, sigma, whether q = 1/4) for C_k(x) = sigma q**k Z(2k).
@@ -181,6 +167,6 @@ def solve_triangular(relations: Sequence[LinearRelation]) -> list[Fraction]:
             raise DegenerateSystem(
                 f"relation {i} introduces unknown {rel.order}, expected {i}"
             )
-        pivot = rel._coeffs[-1][1]
+        pivot = rel.pairs[-1][1]
         solution.append(-rel.residual([*solution, 0]) / pivot)
     return solution

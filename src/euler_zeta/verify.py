@@ -9,23 +9,30 @@ criterion   suite                                           budget
 ==========  ==============================================  ========
 1           ``_suite_method_agreement(64)``                 < 5 s
 2           ``_suite_documented_erratum(64)``
-3, 4        ``_suite_sum_identity_x0(64)``, ``_x1(64)``
+3           ``_suite_sum_identity_x0(64)``
+4           ``_suite_sum_identity_x1(64)``
 5           ``_suite_perm_diff(128)``                       < 2 s
 6           ``_suite_fourier_quadrature()``                 < 10 s
 7           ``_suite_partial_sum_convergence()``
 8           ``_suite_series_enclosure()``                   < 5 s
-9           ``_suite_triangular_solve(32)``
+9           ``_suite_sum_identity_x0``, ``_x1``, ``_x2`` (64)
 10          ``_suite_bernoulli(64)`` (B_0 .. B_128)
 ==========  ==============================================  ========
 
 Criteria 3, 4 and 9 check the substitution relations, which ``relation_at``
 derives from the expansion's weights, against the paper's printed closed
-forms: 3 and 4 require each x = 0 and x = 1 relation to balance the
-closed-form coefficients and to have the printed right side -1/(2(2s+1))
-or ``sum_identity_x1_rhs(s)``; 9 requires the forward solves of the x = 0,
-1 and 2 systems to equal the closed-form zeta_E(2k)/pi**(2k) and
-zeta(2k)/pi**(2k), and each x = 2 relation to have the printed right side
-m/(2m+1).  Criterion 5 pins the expansion's weight rows, which share their
+forms through one helper, ``_relations_hold``.  Each relation m must
+introduce the unknown m, balance the closed-form table and have the
+printed right side: -1/(2(2m+1)) at x = 0 and ``sum_identity_x1_rhs(m)``
+at x = 1 over zeta_E(2k)/pi**(2k) (criteria 3 and 4), and m/(2m+1) at
+x = 2 over zeta(2k)/pi**(2k).  Criterion 9, that the forward solves of the
+x = 0, 1 and 2 systems give back those closed forms, is the three suites
+passing together: a relation that introduces its own unknown has a
+nonzero pivot, a triangular system with nonzero pivots has exactly one
+solution, and so its forward solve equals a table exactly when every
+relation balances that table.
+
+Criterion 5 pins the expansion's weight rows, which share their
 ratios with the Horner sum that every recurrence step reads in place of a
 row, to the paper's printed factorial forms for 1 <= k <= s: the
 differenced rows w_k(s) - w_k(s-1) of the new-theorem and Lee-Ryoo steps
@@ -66,7 +73,7 @@ from .fourier import (
     fourier_coefficient_numeric,
     partial_sum,
 )
-from .relations import relation_at, solve_triangular
+from .relations import relation_at
 from .zeta import (
     AGREEING_METHODS,
     EulerZetaValue,
@@ -128,25 +135,46 @@ def _suite_documented_erratum(s_max: int) -> SuiteResult:
     )
 
 
-def _identity_holds(s_max: int, x: int, rhs: Callable[[int], Fraction]) -> bool:
-    # One closed-form table serves the whole sweep: relation_at(s, x), derived
-    # from the expansion, must balance it and have the printed right side rhs(s).
-    table = euler_zeta_coefficients(s_max, Method.CLOSED_FORM)
-    for s in range(1, s_max + 1):
-        relation = relation_at(s, x)
-        if relation.residual(table) != 0 or relation.rhs != rhs(s):
+def _relations_hold(
+    s_max: int, x: int, table: list[Fraction], rhs: Callable[[int], Fraction]
+) -> bool:
+    # relation_at(m, x), derived from the expansion, for m = 1..s_max.  Each
+    # must introduce the unknown m (its order is m, so its pivot, the
+    # coefficient of v_m, is nonzero): then the relations form a triangular
+    # system with exactly one solution, the one its forward solve finds, and
+    # "every relation balances `table`" is the same predicate as "the
+    # forward solve equals `table`".  A relation scaled by a constant
+    # balances and solves alike, so each must also have the printed right
+    # side rhs(m).
+    for m in range(1, s_max + 1):
+        relation = relation_at(m, x)
+        if relation.order != m:
+            return False
+        if relation.residual(table) != 0 or relation.rhs != rhs(m):
             return False
     return True
 
 
 def _suite_sum_identity_x0(s_max: int) -> SuiteResult:
-    ok = _identity_holds(s_max, 0, lambda s: Fraction(-1, 2 * (2 * s + 1)))
+    table = euler_zeta_coefficients(s_max, Method.CLOSED_FORM)
+    ok = _relations_hold(s_max, 0, table, lambda s: Fraction(-1, 2 * (2 * s + 1)))
     return SuiteResult("sum-identity-x0", ok, f"-1/(2(2s+1)) for s = 1..{s_max}")
 
 
 def _suite_sum_identity_x1(s_max: int) -> SuiteResult:
-    ok = _identity_holds(s_max, 1, sum_identity_x1_rhs)
+    table = euler_zeta_coefficients(s_max, Method.CLOSED_FORM)
+    ok = _relations_hold(s_max, 1, table, sum_identity_x1_rhs)
     return SuiteResult("sum-identity-x1", ok, f"LHS = RHS for s = 1..{s_max}")
+
+
+def _suite_sum_identity_x2(s_max: int) -> SuiteResult:
+    table = [zeta_even_closed_form(k) for k in range(1, s_max + 1)]
+    ok = _relations_hold(s_max, 2, table, lambda s: Fraction(s, 2 * s + 1))
+    anchors = [Fraction(1, 6), Fraction(1, 90), Fraction(1, 945)]
+    ok = ok and table[: len(anchors)] == anchors[:s_max]
+    return SuiteResult(
+        "sum-identity-x2", ok, f"s/(2s+1) at zeta(2s)/pi^(2s) for s = 1..{s_max}"
+    )
 
 
 def _suite_perm_diff(s_max: int) -> SuiteResult:
@@ -241,26 +269,6 @@ def _suite_series_enclosure() -> SuiteResult:
     )
 
 
-def _suite_triangular_solve(s_max: int) -> SuiteResult:
-    # A forward solve satisfies every relation it used exactly, so a solve
-    # equal to the closed forms also shows that they balance each relation.
-    euler_expected = euler_zeta_coefficients(s_max, Method.CLOSED_FORM)
-    ordinary_expected = [zeta_even_closed_form(k) for k in range(1, s_max + 1)]
-    systems = [[relation_at(m, x) for m in range(1, s_max + 1)] for x in (0, 1, 2)]
-    solved = [solve_triangular(system) for system in systems]
-    ok = solved == [euler_expected, euler_expected, ordinary_expected]
-    # A solve cannot see a relation scaled by a constant, so the x=2 right
-    # sides are pinned to the printed m/(2m+1) (x=0 and 1 are in 3 and 4).
-    ok = ok and all(
-        rel.rhs == Fraction(m, 2 * m + 1) for m, rel in enumerate(systems[2], start=1)
-    )
-    anchors = [Fraction(1, 6), Fraction(1, 90), Fraction(1, 945)]
-    ok = ok and ordinary_expected[: len(anchors)] == anchors[:s_max]
-    return SuiteResult(
-        "triangular-solve", ok, f"x in {{0,1,2}} systems solve to closed forms, s <= {s_max}"
-    )
-
-
 def _suite_monotonicity(s_max: int) -> SuiteResult:
     # zeta_E(2s) climbs strictly toward 1 from below.  Consecutive values
     # differ by roughly 4**-s, so past s ~ 49 a fixed 30-digit rendering
@@ -291,17 +299,18 @@ def _suite_monotonicity(s_max: int) -> SuiteResult:
 #:   sum-identity-x1          0.018 / 7.08   documented-erratum  0.007 / 0.64
 #:   partial-sum-convergence  0.036 / 0.02   monotonicity        0.007 / 0.26
 #:   sum-identity-x0          0.012 / 6.53   fourier-quadrature  0.022 / 0.02
-#:   perm-diff                0.003 / 1.85   triangular-solve    0.011 / 0.01
+#:   perm-diff                0.003 / 1.85   sum-identity-x2     0.011 / 5.03
 #:   method-agreement         0.012 / 0.93   series-enclosure    0.004 / 0.00
 #:                                           bernoulli-oracle    0.002 / 0.00
 #:
 #: partial-sum-convergence, fourier-quadrature and series-enclosure take no
-#: s_max, and triangular-solve runs at min(s_max, 32).  The order below was
-#: set longest first from costs measured while each worker paid its own
-#: fill and series-enclosure summed 10**6 terms one by one.  Sorted by the
-#: figures above instead, verify read 0.200 -> 0.178 s median wall over 5
-#: alternating harness pairs, lower in only 3 and within the old order's
-#: own spread of 0.153-0.203 s, so the order is kept.
+#: s_max.  The order below was set longest first from costs measured while
+#: each worker paid its own fill and series-enclosure summed 10**6 terms one
+#: by one; sum-identity-x2, which that measurement did not cover, sits tenth,
+#: though its cost at 512 would put it third.  Sorted by the figures above
+#: instead, verify read 0.200 -> 0.178 s median wall over 5 alternating
+#: harness pairs, lower in only 3 and within the old order's own spread of
+#: 0.153-0.203 s, so the order is kept.
 _LONGEST_FIRST = (
     _suite_sum_identity_x1,
     _suite_series_enclosure,
@@ -312,7 +321,7 @@ _LONGEST_FIRST = (
     _suite_perm_diff,
     _suite_bernoulli,
     _suite_partial_sum_convergence,
-    _suite_triangular_solve,
+    _suite_sum_identity_x2,
     _suite_fourier_quadrature,
 )
 
@@ -373,7 +382,7 @@ def run_all(s_max: int) -> list[SuiteResult]:
         partial(_suite_fourier_quadrature),
         partial(_suite_partial_sum_convergence),
         partial(_suite_series_enclosure),
-        partial(_suite_triangular_solve, min(s_max, 32)),
+        partial(_suite_sum_identity_x2, s_max),
         partial(_suite_monotonicity, s_max),
     ]
     bernoulli(2 * s_max)  # the closed forms' fill, paid once for every worker

@@ -67,9 +67,20 @@ def test_criterion_08_series_enclosure():
     _check(8, description, verify._suite_series_enclosure, budget=5.0)
 
 
+def _relation_systems(s_max):
+    # Criterion 9 is the x = 0, 1 and 2 relation suites passing together.
+    suites = [
+        verify._suite_sum_identity_x0,
+        verify._suite_sum_identity_x1,
+        verify._suite_sum_identity_x2,
+    ]
+    results = [suite(s_max) for suite in suites]
+    return verify.SuiteResult("relation-systems", all(r.passed for r in results), "")
+
+
 def test_criterion_09_triangular_solve_equivalence():
-    description = "x=0, 1 systems solve to the c_k and x=2 to zeta(2k)/pi^(2k), s <= 32"
-    _check(9, description, verify._suite_triangular_solve, 32)
+    description = "x=0, 1 systems solve to the c_k and x=2 to zeta(2k)/pi^(2k), s <= 64"
+    _check(9, description, _relation_systems, 64)
 
 
 def test_criterion_10_bernoulli_oracle_integrity():

@@ -1,5 +1,7 @@
+import copy
 import importlib
 import math
+import pickle
 import random
 import threading
 import time
@@ -156,6 +158,22 @@ class TestPiPolynomial:
         p = PiPolynomial({1: 1})
         with pytest.raises(AttributeError):
             p.terms = {}
+
+    def test_is_the_tuple_of_its_sorted_pairs(self):
+        p = PiPolynomial({2: Fraction(3, 4), -1: 5})
+        pairs = ((-1, Fraction(5)), (2, Fraction(3, 4)))
+        assert p == pairs
+        assert hash(p) == hash(pairs)
+        assert repr(p) == "((-1, Fraction(5, 1)), (2, Fraction(3, 4)))"
+        assert list(p) == list(pairs)
+        assert p[1] == (2, Fraction(3, 4))
+        assert len(p) == 2
+
+    def test_pickle_and_copy_round_trip(self):
+        p = PiPolynomial({1: Fraction(1, 12), -3: -2})
+        for clone in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert clone == p
+            assert type(clone) is PiPolynomial
 
 
 class TestDecimalApprox:

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -137,6 +139,37 @@ class TestLinearRelation:
         rel = relation_at(1, 0)
         with pytest.raises(AttributeError):
             rel.rhs = Fraction(0)
+
+    def test_is_the_tuple_of_its_fields(self):
+        rel = relation_at(2, 0)
+        fields = (Family.EULER_ZETA, ((1, Fraction(-4)), (2, Fraction(24))), Fraction(-1, 10))
+        assert rel == fields
+        assert hash(rel) == hash(fields)
+        assert repr(rel) == (
+            "LinearRelation(family=<Family.EULER_ZETA: 'euler-zeta'>, "
+            "pairs=((1, Fraction(-4, 1)), (2, Fraction(24, 1))), rhs=Fraction(-1, 10))"
+        )
+        assert list(rel) == list(fields)
+        assert rel[2] == rel.rhs == Fraction(-1, 10)
+        assert len(rel) == 3
+
+    def test_replace_validates(self):
+        rel = relation_at(2, 0)
+        assert rel._replace(pairs={2: 6, 1: -1}, rhs=1) == (
+            Family.EULER_ZETA, ((1, Fraction(-1)), (2, Fraction(6))), Fraction(1)
+        )
+        with pytest.raises(ValueError):
+            rel._replace(pairs={1: 0})
+        with pytest.raises(ValueError):
+            rel._replace(pairs={0: 1})
+        with pytest.raises(TypeError):
+            rel._replace(pairs={2.7: 1})
+
+    def test_pickle_and_copy_round_trip(self):
+        rel = relation_at(3, 1)
+        for clone in (pickle.loads(pickle.dumps(rel)), copy.copy(rel), copy.deepcopy(rel)):
+            assert clone == rel
+            assert type(clone) is LinearRelation
 
 
 class TestSolveTriangular:

@@ -21,7 +21,6 @@ import pytest
 
 from euler_zeta import verify
 from euler_zeta.exactmath import DecimalApprox
-from euler_zeta.relations import LinearRelation
 from euler_zeta.zeta import Method
 
 
@@ -37,14 +36,27 @@ def _approx(change):
     return plant
 
 
+def _scaled(rel, factor):
+    return rel._replace(pairs=[(k, factor * q) for k, q in rel.pairs], rhs=factor * rel.rhs)
+
+
 def _doubled_at(where):
     # Twice a true relation still balances the closed forms and solves to
     # them; only its right side is no longer the identity's.
-    def double(rel):
-        coefficients = {k: 2 * q for k, q in rel.coefficients.items()}
-        return LinearRelation(rel.family, coefficients, 2 * rel.rhs)
+    return lambda f: lambda m, x: _scaled(f(m, x), 2) if (m, x) == where else f(m, x)
 
-    return lambda f: lambda m, x: double(f(m, x)) if (m, x) == where else f(m, x)
+
+def _no_new_unknown_at_3(f):
+    # relation_at(3, 0) replaced by relation_at(2, 0) scaled to the right
+    # side of relation 3: it balances the closed forms and has the printed
+    # right side, but it introduces no unknown v_3.
+    def planted(m, x):
+        if (m, x) != (3, 0):
+            return f(m, x)
+        previous = f(2, 0)
+        return _scaled(previous, f(3, 0).rhs / previous.rhs)
+
+    return planted
 
 
 def _series_moved_from_s2(f):
@@ -75,7 +87,7 @@ CASES = {
         _c3_changed(Method.COROLLARY),
     ),
     # The new theorem's c_3: method-agreement is its one check, since the
-    # x=0 forward solve is compared with the closed forms, not with it.
+    # x=0 relations are checked against the closed forms, not against it.
     "new-theorem": (
         "method-agreement",
         "euler_zeta_coefficients",
@@ -88,6 +100,8 @@ CASES = {
     ),
     "sum-identity-x0": ("sum-identity-x0", "relation_at", _doubled_at((3, 0))),
     "sum-identity-x1": ("sum-identity-x1", "relation_at", _doubled_at((3, 1))),
+    "sum-identity-x2": ("sum-identity-x2", "relation_at", _doubled_at((3, 2))),
+    "no-new-unknown": ("sum-identity-x0", "relation_at", _no_new_unknown_at_3),
     # w_2(3) one too large.
     "perm-diff": (
         "perm-diff",
@@ -116,13 +130,6 @@ CASES = {
         _approx(lambda value, bound: (value, bound / 2)),
     ),
     "series-enclosure-moved": ("series-enclosure", "euler_zeta_series", _series_moved_from_s2),
-    # The last unknown taken as its relation's right side, with no elimination.
-    "triangular-solve": (
-        "triangular-solve",
-        "solve_triangular",
-        lambda f: lambda rels: f(rels[:-1]) + [rels[-1].rhs],
-    ),
-    "triangular-solve-x2": ("triangular-solve", "relation_at", _doubled_at((3, 2))),
     # One power of pi^2 too many.
     "monotonicity": (
         "monotonicity",
@@ -203,7 +210,7 @@ class TestPool:
             "method-agreement", "documented-erratum", "sum-identity-x0",
             "sum-identity-x1", "perm-diff", "bernoulli-oracle",
             "fourier-quadrature", "partial-sum-convergence", "series-enclosure",
-            "triangular-solve", "monotonicity",
+            "sum-identity-x2", "monotonicity",
         ]
         _no_child_left()
 

@@ -1,6 +1,6 @@
 """Mutation check: every listed one-line fault must fail the tier-1 tests.
 
-Usage, from the repository root (about 105 s on two cores):
+Usage, from the repository root (about 165 s on two cores):
 
     python tools/mutants.py
 
@@ -198,6 +198,21 @@ MUTANTS = [
         "src/euler_zeta/zeta.py",
         "    bound = Fraction(1, tail_den) + Fraction(inexact, scale) + 2 * remainder\n",
         "    bound = Fraction(1, tail_den) + Fraction(inexact, scale)\n",
+    ),
+    # The relation check behind criteria 3, 4 and 9: each relation m must
+    # introduce the unknown m, and the x = 2 relations must have the printed
+    # right side s/(2s+1).
+    Mutant(
+        "relation order check dropped",
+        "src/euler_zeta/verify.py",
+        "        if relation.order != m:\n",
+        "        if False:\n",
+    ),
+    Mutant(
+        "x = 2 right side unchecked",
+        "src/euler_zeta/verify.py",
+        "    ok = _relations_hold(s_max, 2, table, lambda s: Fraction(s, 2 * s + 1))\n",
+        "    ok = _relations_hold(s_max, 2, table, lambda s: relation_at(s, 2).rhs)\n",
     ),
     # The triangular solve's elimination step: v_i = -residual / pivot with
     # v_i set to 0 in the residual.

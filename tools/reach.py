@@ -52,14 +52,8 @@ ALLOWED = {
     "cli:parse_exact": "library API the README promises; the CLI never parses its own output",
     "exactmath:DecimalApprox._make": "value-type API: namedtuple's _replace calls it",
     "exactmath:PiPolynomial.terms": "library API in the README tour",
-    "exactmath:PiPolynomial.__setattr__": "value-type dunder: guards immutability",
-    "exactmath:PiPolynomial.__eq__": "value-type dunder: structural equality",
-    "exactmath:PiPolynomial.__hash__": "value-type dunder: structural hashing",
-    "exactmath:PiPolynomial.__repr__": "value-type dunder",
-    "relations:LinearRelation.__setattr__": "value-type dunder: guards immutability",
-    "relations:LinearRelation.__eq__": "value-type dunder: structural equality",
-    "relations:LinearRelation.__hash__": "value-type dunder: structural hashing",
-    "relations:LinearRelation.__repr__": "value-type dunder",
+    "relations:LinearRelation._make": "value-type API: namedtuple's _replace calls it",
+    "relations:solve_triangular": "public name the benchmark's tracer still wraps",
     "verify:_work_in_child": "runs only in a forked child, which the profiler does not see",
     "zeta:sum_identity_x0_lhs": "public name the benchmark's tracer still wraps",
     "zeta:sum_identity_x1_lhs": "public name the benchmark's tracer still wraps",
