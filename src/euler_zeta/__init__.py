@@ -2,8 +2,8 @@
 
 zeta_E(2s) = c_s * pi**(2s) with c_s an exact rational, computed by several
 recurrences and a Bernoulli closed form that must agree, validated further
-by Fourier-coefficient quadrature, enclosed series summation, and exact
-triangular solves of the substitution-identity systems.
+by Fourier-coefficient quadrature, enclosed series summation, and the
+substitution-identity relations, checked exactly against the closed forms.
 """
 
 from . import exactmath, fourier, relations, zeta

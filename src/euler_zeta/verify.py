@@ -41,25 +41,20 @@ step's (2k-1)(2s-k) w_k(s) / (2s)! to its printed weight
 (-1)**(k+1) (2k-1)(2s-k) / (2s-2k+1)!.  Nowhere else in the package is
 that factorial form stated.
 
-Each suite computes its own coefficient tables; no table outlives the
-call that asked for it.  pi is computed anew on each call; the one memo
-left is the Bernoulli table.  ``run_all`` fills it through B_{2 s_max}
-once, before it forks, so every worker inherits the table that the
-closed forms read instead of each paying the fill.
+``run_all`` runs the suites in order, in the calling process.  Each suite
+computes its own coefficient tables; no table outlives the call that asked
+for it.  pi is computed anew on each call; the one memo left is the
+Bernoulli table, which the first closed-form table fills through
+B_{2 s_max} and every later suite reads.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import threading
 from collections import namedtuple
 from collections.abc import Callable
 from decimal import Decimal
 from fractions import Fraction
-from functools import partial
 
 from .exactmath import (
     bernoulli,
@@ -291,138 +286,24 @@ def _suite_monotonicity(s_max: int) -> SuiteResult:
     )
 
 
-#: Claim order.  Seconds per suite, each run alone in a new process after
-#: ``bernoulli(2 * s_max)``, the fill ``run_all`` pays before it forks
-#: (2 vCPU, Python 3.11.7), the lowest of three runs at --s-max 64 and of
-#: two at 512, given as 64 / 512:
-#:
-#:   sum-identity-x1          0.018 / 7.08   documented-erratum  0.007 / 0.64
-#:   partial-sum-convergence  0.036 / 0.02   monotonicity        0.007 / 0.26
-#:   sum-identity-x0          0.012 / 6.53   fourier-quadrature  0.022 / 0.02
-#:   perm-diff                0.003 / 1.85   sum-identity-x2     0.011 / 5.03
-#:   method-agreement         0.012 / 0.93   series-enclosure    0.004 / 0.00
-#:                                           bernoulli-oracle    0.002 / 0.00
-#:
-#: partial-sum-convergence, fourier-quadrature and series-enclosure take no
-#: s_max.  The order below was set longest first from costs measured while
-#: each worker paid its own fill and series-enclosure summed 10**6 terms one
-#: by one; sum-identity-x2, which that measurement did not cover, sits tenth,
-#: though its cost at 512 would put it third.  Sorted by the figures above
-#: instead, verify read 0.200 -> 0.178 s median wall over 5 alternating
-#: harness pairs, lower in only 3 and within the old order's own spread of
-#: 0.153-0.203 s, so the order is kept.
-_LONGEST_FIRST = (
-    _suite_sum_identity_x1,
-    _suite_series_enclosure,
-    _suite_sum_identity_x0,
-    _suite_monotonicity,
-    _suite_method_agreement,
-    _suite_documented_erratum,
-    _suite_perm_diff,
-    _suite_bernoulli,
-    _suite_partial_sum_convergence,
-    _suite_sum_identity_x2,
-    _suite_fourier_quadrature,
-)
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on macOS or Windows
-        return os.cpu_count() or 1
-
-
-def _claim(suites: list[partial], claims: int) -> dict[int, SuiteResult]:
-    # Each byte read from the shared pipe is one suite index; EOF ends the work.
-    results = {}
-    while index := os.read(claims, 1):
-        results[index[0]] = suites[index[0]]()
-    return results
-
-
-def _work_in_child(suites: list[partial], claims: int, result_in: int) -> None:
-    # Never returns: os._exit keeps the caller's stack, atexit handlers and
-    # inherited stdout buffers from running a second time in the child.
-    status = 1
-    try:
-        try:
-            outcome = _claim(suites, claims)
-        except BaseException as exc:  # the caller re-raises it
-            outcome = exc
-        with open(result_in, "wb") as out:
-            out.write(pickle.dumps(outcome))
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def run_all(s_max: int) -> list[SuiteResult]:
     """Every suite at its natural sweep size; s_max scales the exact sweeps.
 
-    The suites are independent, so they spread over the usable CPUs: the
-    caller and ``os.fork`` children claim suite indices, longest first, from
-    one pipe, and each child pickles its results (or the exception it
-    raised) back.  With one CPU, without ``os.fork`` or with another thread
-    alive (a fork copies no thread, but may copy a lock one holds), no child
-    is forked and the caller claims every suite through the same loop; if a
-    fork fails, the workers already started share the claims.  The caller
-    fills the Bernoulli memo through B_{2 s_max} before any fork.  Results
-    come back in the printed order.
+    The suites run one after another in the calling process, in the
+    printed order, and their results come back in that order.
     """
     if s_max < 2:
         raise ValueError("s_max must be >= 2")
-    suites = [
-        partial(_suite_method_agreement, s_max),
-        partial(_suite_documented_erratum, s_max),
-        partial(_suite_sum_identity_x0, s_max),
-        partial(_suite_sum_identity_x1, s_max),
-        partial(_suite_perm_diff, s_max),
-        partial(_suite_bernoulli, s_max),
-        partial(_suite_fourier_quadrature),
-        partial(_suite_partial_sum_convergence),
-        partial(_suite_series_enclosure),
-        partial(_suite_sum_identity_x2, s_max),
-        partial(_suite_monotonicity, s_max),
+    return [
+        _suite_method_agreement(s_max),
+        _suite_documented_erratum(s_max),
+        _suite_sum_identity_x0(s_max),
+        _suite_sum_identity_x1(s_max),
+        _suite_perm_diff(s_max),
+        _suite_bernoulli(s_max),
+        _suite_fourier_quadrature(),
+        _suite_partial_sum_convergence(),
+        _suite_series_enclosure(),
+        _suite_sum_identity_x2(s_max),
+        _suite_monotonicity(s_max),
     ]
-    bernoulli(2 * s_max)  # the closed forms' fill, paid once for every worker
-    workers = min(_usable_cpus(), len(suites))
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        workers = 1
-    order = sorted(range(len(suites)), key=lambda i: _LONGEST_FIRST.index(suites[i].func))
-    claims, claims_in = os.pipe()
-    os.write(claims_in, bytes(order))
-    os.close(claims_in)
-    children = {}  # pid -> the read end of its result pipe
-    try:
-        for _ in range(workers - 1):
-            result_out, result_in = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:  # no process to spare: fewer workers share the claims
-                os.close(result_out)
-                os.close(result_in)
-                break
-            if pid == 0:
-                _work_in_child(suites, claims, result_in)
-            os.close(result_in)
-            children[pid] = open(result_out, "rb")
-        results = _claim(suites, claims)
-        for pid, source in children.items():
-            data = source.read()
-            if not data:
-                raise ChildProcessError(f"verify worker {pid} exited without a result")
-            outcome = pickle.loads(data)
-            if isinstance(outcome, BaseException):
-                raise outcome
-            results.update(outcome)
-    except BaseException:
-        for pid in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.close(claims)
-        for pid, source in children.items():
-            source.close()
-            os.waitpid(pid, 0)
-    return [results[i] for i in range(len(suites))]

@@ -3,18 +3,15 @@
 The acceptance criteria run the `verify` suites, so a suite that could
 never fail would hide a broken route.  Each case replaces one name that
 `euler_zeta.verify` imports with a wrong version (`plant(original)`) and
-runs `run_all(4)`: exactly the suite the case names must fail, both in
-the caller's process and spread over forked workers, which inherit the plant.
+runs `run_all(4)`: exactly the suite the case names must fail.
 
-The pool tests below check that the workers return what one process does,
-in the printed order, and that they are reaped whatever happens.
+`run_all` runs every suite in the calling process, in the printed order;
+the last tests check that it forks no process and loads no process pool.
 """
 
 import os
-import signal
 import subprocess
 import sys
-import threading
 from decimal import Decimal
 
 import pytest
@@ -139,23 +136,8 @@ CASES = {
 }
 
 
-@pytest.fixture(autouse=True)
-def deadline():
-    # A hung pool fails its test instead of the run; forked children
-    # inherit no pending alarm.
-    def expire(signum, frame):
-        raise TimeoutError("run_all still waiting after 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-def _fails_only(monkeypatch, case):
+@pytest.mark.parametrize("case", CASES)
+def test_planted_defect_fails_only_its_suite(monkeypatch, case):
     suite, name, plant = CASES[case]
     monkeypatch.setattr(verify, name, plant(getattr(verify, name)))
     results = verify.run_all(4)
@@ -163,131 +145,28 @@ def _fails_only(monkeypatch, case):
     assert [result.name for result in results if not result.passed] == [suite]
 
 
-def _no_child_left():
-    # waitpid(-1) raises once this process has no child left to reap.
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def test_runs_every_suite_in_process_in_the_printed_order(monkeypatch):
+    def fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", fork)
+    results = verify.run_all(4)
+    assert [r.name for r in results] == [
+        "method-agreement", "documented-erratum", "sum-identity-x0",
+        "sum-identity-x1", "perm-diff", "bernoulli-oracle",
+        "fourier-quadrature", "partial-sum-convergence", "series-enclosure",
+        "sum-identity-x2", "monotonicity",
+    ]
+    assert all(r.passed for r in results)
 
 
-@pytest.mark.parametrize("case", CASES)
-def test_planted_defect_fails_only_its_suite(monkeypatch, case):
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 1)
-    _fails_only(monkeypatch, case)
-
-
-@pytest.mark.parametrize("case", CASES)
-def test_planted_defect_fails_only_its_suite_with_several_workers(monkeypatch, case):
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 4)
-    _fails_only(monkeypatch, case)
-    _no_child_left()
-
-
-def _children_claim_all(monkeypatch):
-    # The caller claims nothing, so every result crosses a result pipe.
-    caller, claim = os.getpid(), verify._claim
-    monkeypatch.setattr(verify, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(
-        verify, "_claim", lambda *a: claim(*a) if os.getpid() != caller else {}
+def test_loads_no_process_pool():
+    script = (
+        "import sys, euler_zeta.verify\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
     )
-
-
-class TestPool:
-    @pytest.fixture(scope="class")
-    def in_process(self):
-        mp = pytest.MonkeyPatch()
-        mp.setattr(verify, "_usable_cpus", lambda: 1)
-        mp.setattr(os, "fork", _no_fork)
-        try:
-            return verify.run_all(4)
-        finally:
-            mp.undo()
-
-    @pytest.mark.parametrize("workers", [2, 4, 11, 64])
-    def test_several_workers_equal_one(self, monkeypatch, in_process, workers):
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: workers)
-        assert verify.run_all(4) == in_process
-        assert [r.name for r in in_process] == [
-            "method-agreement", "documented-erratum", "sum-identity-x0",
-            "sum-identity-x1", "perm-diff", "bernoulli-oracle",
-            "fourier-quadrature", "partial-sum-convergence", "series-enclosure",
-            "sum-identity-x2", "monotonicity",
-        ]
-        _no_child_left()
-
-    def test_children_alone_return_every_result(self, monkeypatch, in_process):
-        _children_claim_all(monkeypatch)
-        assert verify.run_all(4) == in_process
-        _no_child_left()
-
-    def test_child_exception_is_reraised(self, monkeypatch):
-        _children_claim_all(monkeypatch)
-
-        def expansion_weights(m):
-            raise LookupError(f"planted at m={m}")
-
-        monkeypatch.setattr(verify, "_expansion_weights", expansion_weights)
-        with pytest.raises(LookupError, match="planted at m=1"):
-            verify.run_all(4)
-        _no_child_left()
-
-    def test_child_lost_without_a_result_raises(self, monkeypatch):
-        caller, claim = os.getpid(), verify._claim
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(
-            verify, "_claim", lambda *a: claim(*a) if os.getpid() == caller else os._exit(3)
-        )
-        with pytest.raises(ChildProcessError, match="without a result"):
-            verify.run_all(4)
-        _no_child_left()
-
-    def test_caller_exception_reaps_the_children(self, monkeypatch):
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 4)
-
-        def expansion_weights(m):
-            raise LookupError("planted")
-
-        monkeypatch.setattr(verify, "_expansion_weights", expansion_weights)
-        with pytest.raises(LookupError, match="planted"):
-            verify.run_all(4)
-        _no_child_left()
-
-    def test_second_thread_keeps_the_suites_in_process(self, monkeypatch, in_process):
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(os, "fork", _no_fork)
-        release = threading.Event()
-        waiter = threading.Thread(target=release.wait)
-        waiter.start()
-        try:
-            assert verify.run_all(4) == in_process
-        finally:
-            release.set()
-            waiter.join(timeout=10)
-        assert not waiter.is_alive()
-
-    def test_without_fork_the_suites_run_in_process(self, monkeypatch, in_process):
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 4)
-        monkeypatch.delattr(os, "fork")
-        assert verify.run_all(4) == in_process
-
-    def test_failed_fork_leaves_fewer_workers(self, monkeypatch, in_process):
-        def fork():
-            raise BlockingIOError("planted: no process to spare")
-
-        monkeypatch.setattr(verify, "_usable_cpus", lambda: 4)
-        monkeypatch.setattr(os, "fork", fork)
-        assert verify.run_all(4) == in_process
-
-    def test_loads_no_process_pool(self):
-        script = (
-            "import sys, euler_zeta.verify\n"
-            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True
-        )
-        assert result.returncode == 0
-        assert result.stdout == "[]\n"
-
-
-def _no_fork():
-    raise AssertionError("os.fork called")
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert result.returncode == 0
+    assert result.stdout == "[]\n"

@@ -1,6 +1,6 @@
 """Mutation check: every listed one-line fault must fail the tier-1 tests.
 
-Usage, from the repository root (about 165 s on two cores):
+Usage, from the repository root (about 120 s on two cores):
 
     python tools/mutants.py
 

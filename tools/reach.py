@@ -6,15 +6,14 @@ Usage, from the repository root (about a second):
 
 The script runs a fixed list of CLI invocations in this process under
 ``sys.setprofile``: every subcommand, every output format, ``--digits``, a
-usage error, and ``verify`` with one worker.  The process pins itself to
-one CPU first, so ``verify`` finds one usable CPU and runs every suite in
-process, where the profiler sees it.  Every ``def`` in ``src/euler_zeta``,
-nested ones included, that no invocation entered is listed.
+usage error, and ``verify``, which runs every suite in this process.
+Every ``def`` in ``src/euler_zeta``, nested ones included, that no
+invocation entered is listed.
 
 An unreached function may stay only if ALLOWED names it with a reason.  An
 ALLOWED entry that no longer names an unreached function is listed too, so
 the list cannot go stale.  Exit status 0 when nothing is listed, else 1.
-Needs ``os.sched_setaffinity`` (Linux).  Standard library only.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from __future__ import annotations
 import contextlib
 import inspect
 import io
-import os
 import sys
 from pathlib import Path
 from types import CodeType
@@ -54,7 +52,6 @@ ALLOWED = {
     "exactmath:PiPolynomial.terms": "library API in the README tour",
     "relations:LinearRelation._make": "value-type API: namedtuple's _replace calls it",
     "relations:solve_triangular": "public name the benchmark's tracer still wraps",
-    "verify:_work_in_child": "runs only in a forked child, which the profiler does not see",
     "zeta:sum_identity_x0_lhs": "public name the benchmark's tracer still wraps",
     "zeta:sum_identity_x1_lhs": "public name the benchmark's tracer still wraps",
     "zeta:_identity_lhs": "helper of sum_identity_x0_lhs and sum_identity_x1_lhs",
@@ -95,7 +92,6 @@ def main() -> int:
         code = compile(path.read_text(), str(path), "exec")
         functions.update(_functions(code, path.stem))
 
-    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     entered: set[CodeType] = set()
 
     def profile(frame, event, arg):
