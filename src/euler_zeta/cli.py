@@ -309,8 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format(identities)
     identities.set_defaults(func=_cmd_identities)
 
-    bench = sub.add_parser("bench", help="time full-table computation per method (the "
-                           "Bernoulli fill is timed once: later repeats reuse its memo)")
+    bench = sub.add_parser("bench", help="time full-table computation per method")
     bench.add_argument("--s-max", dest="s_max", type=_int_between(2, MAX_S), required=True,
                        help=f"table size, 2 <= s_max <= {MAX_S}")
     bench.add_argument("--repeats", type=_int_between(1, _MAX_REPEATS), default=3,

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Mapping
 from decimal import Decimal, localcontext
@@ -38,27 +37,23 @@ __all__ = [
 # Bernoulli numbers (convention B_1 = -1/2)
 # ---------------------------------------------------------------------------
 
-_bernoulli_lock = threading.Lock()
-_bernoulli_cache: list[Fraction] = [Fraction(1)]
 
+def bernoulli(n: int) -> list[Fraction]:
+    """B_0..B_n under the convention B_1 = -1/2, as a new list.
 
-def bernoulli(n: int) -> Fraction:
-    """Bernoulli number B_n under the convention B_1 = -1/2.
-
-    Computed from the defining recurrence sum_{k=0}^{n} C(n+1, k) B_k = 0
-    with B_0 = 1.  A request for B_n fills a shared memo table up to n; the
-    table is guarded so concurrent readers only ever see finished entries.
+    Computed from the defining recurrence sum_{k=0}^{m} C(m+1, k) B_k = 0
+    with B_0 = 1.  Nothing is kept between calls, so ask once for the
+    largest n you need.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    with _bernoulli_lock:
-        while len(_bernoulli_cache) <= n:
-            m = len(_bernoulli_cache)
-            acc = Fraction(0)
-            for k in range(m):
-                acc += math.comb(m + 1, k) * _bernoulli_cache[k]
-            _bernoulli_cache.append(-acc / (m + 1))
-        return _bernoulli_cache[n]
+    out = [Fraction(1)]
+    for m in range(1, n + 1):
+        acc = Fraction(0)
+        for k in range(m):
+            acc += math.comb(m + 1, k) * out[k]
+        out.append(-acc / (m + 1))
+    return out
 
 
 def bernoulli_akiyama_tanigawa(n: int) -> list[Fraction]:

@@ -7,17 +7,22 @@ size instead of restating them:
 ==========  ==============================================  ========
 criterion   suite                                           budget
 ==========  ==============================================  ========
-1           ``_suite_method_agreement(64)``                 < 5 s
-2           ``_suite_documented_erratum(64)``
-3           ``_suite_sum_identity_x0(64)``
-4           ``_suite_sum_identity_x1(64)``
+1           ``_suite_method_agreement(c)``                  < 5 s
+2           ``_suite_documented_erratum(c)``
+3           ``_suite_sum_identity_x0(c)``
+4           ``_suite_sum_identity_x1(c)``
 5           ``_suite_perm_diff(128)``                       < 2 s
 6           ``_suite_fourier_quadrature()``                 < 10 s
 7           ``_suite_partial_sum_convergence()``
 8           ``_suite_series_enclosure()``                   < 5 s
-9           ``_suite_sum_identity_x0``, ``_x1``, ``_x2`` (64)
-10          ``_suite_bernoulli(64)`` (B_0 .. B_128)
+9           ``_suite_sum_identity_x0(c)``, ``_x1(c)``, ``_x2(z)``
+10          ``_suite_bernoulli(B)``
 ==========  ==============================================  ========
+
+Here B is ``bernoulli(128)``, the list B_0 .. B_128; z is
+``zeta_even_closed_form(B)``, zeta(2k)/pi**(2k) for k = 1..64; and c is
+the closed-form table c_1 .. c_64, the eta factor times z.  A suite's
+sweep is as long as the list it is handed.
 
 Criteria 3, 4 and 9 check the substitution relations, which ``relation_at``
 derives from the expansion's weights, against the paper's printed closed
@@ -41,11 +46,14 @@ step's (2k-1)(2s-k) w_k(s) / (2s)! to its printed weight
 (-1)**(k+1) (2k-1)(2s-k) / (2s-2k+1)!.  Nowhere else in the package is
 that factorial form stated.
 
-``run_all`` runs the suites in order, in the calling process.  Each suite
-computes its own coefficient tables; no table outlives the call that asked
-for it.  pi is computed anew on each call; the one memo left is the
-Bernoulli table, which the first closed-form table fills through
-B_{2 s_max} and every later suite reads.
+``run_all`` runs the suites in order, in the calling process.  It fills
+B_0 .. B_max(2 s_max, 16) once, hands that list to the
+``bernoulli-oracle`` suite and builds from it the closed forms every other
+exact suite reads, so the oracle checks the very numbers the closed forms
+are made of; only ``series-enclosure`` takes its three s <= 3 closed forms
+on its own.  The recurrences' tables are computed by the suites that
+compare them.  Nothing is cached: pi, the Bernoulli numbers and every
+table are computed anew on each call.
 """
 
 from __future__ import annotations
@@ -73,6 +81,7 @@ from .zeta import (
     AGREEING_METHODS,
     EulerZetaValue,
     Method,
+    _eta_table,
     euler_zeta,
     euler_zeta_coefficients,
     euler_zeta_series,
@@ -90,13 +99,13 @@ class SuiteResult(namedtuple("SuiteResult", "name passed detail")):
     __slots__ = ()
 
 
-def _suite_method_agreement(s_max: int) -> SuiteResult:
-    tables = {
-        method: euler_zeta_coefficients(s_max, method)
+def _suite_method_agreement(reference: list[Fraction]) -> SuiteResult:
+    s_max = len(reference)
+    ok = all(
+        euler_zeta_coefficients(s_max, method) == reference
         for method in AGREEING_METHODS
-    }
-    reference = tables[Method.CLOSED_FORM]
-    ok = all(table == reference for table in tables.values())
+        if method is not Method.CLOSED_FORM
+    )
     anchors = [
         Fraction(1, 12),
         Fraction(7, 720),
@@ -109,9 +118,9 @@ def _suite_method_agreement(s_max: int) -> SuiteResult:
     )
 
 
-def _suite_documented_erratum(s_max: int) -> SuiteResult:
+def _suite_documented_erratum(reference: list[Fraction]) -> SuiteResult:
+    s_max = len(reference)
     printed = euler_zeta_coefficients(s_max, Method.LEERYOO_PRINTED)
-    reference = euler_zeta_coefficients(s_max, Method.CLOSED_FORM)
     ok = printed[0] == reference[0]
     ok = ok and all(printed[s - 1] != reference[s - 1] for s in range(2, s_max + 1))
     if s_max >= 2:
@@ -130,18 +139,16 @@ def _suite_documented_erratum(s_max: int) -> SuiteResult:
     )
 
 
-def _relations_hold(
-    s_max: int, x: int, table: list[Fraction], rhs: Callable[[int], Fraction]
-) -> bool:
-    # relation_at(m, x), derived from the expansion, for m = 1..s_max.  Each
-    # must introduce the unknown m (its order is m, so its pivot, the
+def _relations_hold(x: int, table: list[Fraction], rhs: Callable[[int], Fraction]) -> bool:
+    # relation_at(m, x), derived from the expansion, for m = 1..len(table).
+    # Each must introduce the unknown m (its order is m, so its pivot, the
     # coefficient of v_m, is nonzero): then the relations form a triangular
     # system with exactly one solution, the one its forward solve finds, and
     # "every relation balances `table`" is the same predicate as "the
     # forward solve equals `table`".  A relation scaled by a constant
     # balances and solves alike, so each must also have the printed right
     # side rhs(m).
-    for m in range(1, s_max + 1):
+    for m in range(1, len(table) + 1):
         relation = relation_at(m, x)
         if relation.order != m:
             return False
@@ -150,25 +157,22 @@ def _relations_hold(
     return True
 
 
-def _suite_sum_identity_x0(s_max: int) -> SuiteResult:
-    table = euler_zeta_coefficients(s_max, Method.CLOSED_FORM)
-    ok = _relations_hold(s_max, 0, table, lambda s: Fraction(-1, 2 * (2 * s + 1)))
-    return SuiteResult("sum-identity-x0", ok, f"-1/(2(2s+1)) for s = 1..{s_max}")
+def _suite_sum_identity_x0(table: list[Fraction]) -> SuiteResult:
+    ok = _relations_hold(0, table, lambda s: Fraction(-1, 2 * (2 * s + 1)))
+    return SuiteResult("sum-identity-x0", ok, f"-1/(2(2s+1)) for s = 1..{len(table)}")
 
 
-def _suite_sum_identity_x1(s_max: int) -> SuiteResult:
-    table = euler_zeta_coefficients(s_max, Method.CLOSED_FORM)
-    ok = _relations_hold(s_max, 1, table, sum_identity_x1_rhs)
-    return SuiteResult("sum-identity-x1", ok, f"LHS = RHS for s = 1..{s_max}")
+def _suite_sum_identity_x1(table: list[Fraction]) -> SuiteResult:
+    ok = _relations_hold(1, table, sum_identity_x1_rhs)
+    return SuiteResult("sum-identity-x1", ok, f"LHS = RHS for s = 1..{len(table)}")
 
 
-def _suite_sum_identity_x2(s_max: int) -> SuiteResult:
-    table = [zeta_even_closed_form(k) for k in range(1, s_max + 1)]
-    ok = _relations_hold(s_max, 2, table, lambda s: Fraction(s, 2 * s + 1))
+def _suite_sum_identity_x2(zetas: list[Fraction]) -> SuiteResult:
+    ok = _relations_hold(2, zetas, lambda s: Fraction(s, 2 * s + 1))
     anchors = [Fraction(1, 6), Fraction(1, 90), Fraction(1, 945)]
-    ok = ok and table[: len(anchors)] == anchors[:s_max]
+    ok = ok and zetas[: len(anchors)] == anchors[: len(zetas)]
     return SuiteResult(
-        "sum-identity-x2", ok, f"s/(2s+1) at zeta(2s)/pi^(2s) for s = 1..{s_max}"
+        "sum-identity-x2", ok, f"s/(2s+1) at zeta(2s)/pi^(2s) for s = 1..{len(zetas)}"
     )
 
 
@@ -203,11 +207,10 @@ def _suite_perm_diff(s_max: int) -> SuiteResult:
     )
 
 
-def _suite_bernoulli(s_max: int) -> SuiteResult:
-    n_max = min(max(2 * s_max, 16), 128)
-    alt = bernoulli_akiyama_tanigawa(n_max)
-    ok = all(bernoulli(n) == alt[n] for n in range(n_max + 1))
-    ok = ok and all(bernoulli(n) == 0 for n in range(3, n_max + 1, 2))
+def _suite_bernoulli(bern: list[Fraction]) -> SuiteResult:
+    n_max = min(len(bern) - 1, 128)
+    ok = bern[: n_max + 1] == bernoulli_akiyama_tanigawa(n_max)
+    ok = ok and not any(bern[3 : n_max + 1 : 2])
     return SuiteResult(
         "bernoulli-oracle", ok, f"two routes agree through B_{n_max}, odd ones vanish"
     )
@@ -264,15 +267,14 @@ def _suite_series_enclosure() -> SuiteResult:
     )
 
 
-def _suite_monotonicity(s_max: int) -> SuiteResult:
+def _suite_monotonicity(table: list[Fraction]) -> SuiteResult:
     # zeta_E(2s) climbs strictly toward 1 from below.  Consecutive values
     # differ by roughly 4**-s, so past s ~ 49 a fixed 30-digit rendering
     # cannot separate them; the enclosure precision grows with s to keep
     # every comparison rigorous.
-    coefficients = euler_zeta_coefficients(s_max, Method.CLOSED_FORM)
     ok = True
     previous_hi: Fraction | None = None
-    for s, coeff in enumerate(coefficients, start=1):
+    for s, coeff in enumerate(table, start=1):
         digits = max(30, math.ceil(0.61 * 2 * s) + 12)
         enclosure = EulerZetaValue(s, coeff).decimal(digits)
         lo, hi = enclosure.bounds()
@@ -282,7 +284,7 @@ def _suite_monotonicity(s_max: int) -> SuiteResult:
             ok = False
         previous_hi = hi
     return SuiteResult(
-        "monotonicity", ok, f"values increase strictly toward 1 for s = 1..{s_max}"
+        "monotonicity", ok, f"values increase strictly toward 1 for s = 1..{len(table)}"
     )
 
 
@@ -290,20 +292,26 @@ def run_all(s_max: int) -> list[SuiteResult]:
     """Every suite at its natural sweep size; s_max scales the exact sweeps.
 
     The suites run one after another in the calling process, in the
-    printed order, and their results come back in that order.
+    printed order, and their results come back in that order.  One
+    Bernoulli fill, through B_max(2 s_max, 16), is the list the
+    ``bernoulli-oracle`` suite checks and the one every closed form the
+    other suites read is built from.
     """
     if s_max < 2:
         raise ValueError("s_max must be >= 2")
+    bern = bernoulli(max(2 * s_max, 16))
+    zetas = zeta_even_closed_form(bern)[:s_max]
+    closed = _eta_table(zetas)
     return [
-        _suite_method_agreement(s_max),
-        _suite_documented_erratum(s_max),
-        _suite_sum_identity_x0(s_max),
-        _suite_sum_identity_x1(s_max),
+        _suite_method_agreement(closed),
+        _suite_documented_erratum(closed),
+        _suite_sum_identity_x0(closed),
+        _suite_sum_identity_x1(closed),
         _suite_perm_diff(s_max),
-        _suite_bernoulli(s_max),
+        _suite_bernoulli(bern),
         _suite_fourier_quadrature(),
         _suite_partial_sum_convergence(),
         _suite_series_enclosure(),
-        _suite_sum_identity_x2(s_max),
-        _suite_monotonicity(s_max),
+        _suite_sum_identity_x2(zetas),
+        _suite_monotonicity(closed),
     ]

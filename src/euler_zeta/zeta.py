@@ -117,12 +117,21 @@ class EulerZetaValue(namedtuple("EulerZetaValue", "s coeff")):
 # ---------------------------------------------------------------------------
 
 
-def zeta_even_closed_form(n: int) -> Fraction:
-    """zeta(2n) / pi**(2n) from zeta(2n) = (-1)**(n+1) B_{2n} (2pi)**(2n) / (2 (2n)!)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    sign = 1 if n % 2 else -1
-    return sign * bernoulli(2 * n) * Fraction(2 ** (2 * n), 2 * math.factorial(2 * n))
+def zeta_even_closed_form(bern: list[Fraction]) -> list[Fraction]:
+    """zeta(2k) / pi**(2k) for every 2k <= n, from the list bern = B_0 .. B_n.
+
+    From zeta(2k) = (-1)**(k+1) B_{2k} (2pi)**(2k) / (2 (2k)!).
+    """
+    return [
+        (-1) ** (k + 1) * bern[2 * k] * Fraction(2 ** (2 * k), 2 * math.factorial(2 * k))
+        for k in range(1, (len(bern) + 1) // 2)
+    ]
+
+
+def _eta_table(zetas: list[Fraction]) -> list[Fraction]:
+    # c_s = (1 - 2**(1-2s)) zeta(2s) / pi**(2s), the eta/zeta relation,
+    # for s = 1 .. len(zetas).
+    return [(1 - Fraction(1, 2 ** (2 * s - 1))) * z for s, z in enumerate(zetas, start=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +230,10 @@ def euler_zeta_coefficients(s_max: int, method: Method = Method.NEW_THEOREM) -> 
     """The coefficients c_1 .. c_{s_max} for one method, as a new list.
 
     A recurrence is one forward pass: each c_s is computed from
-    c_1 .. c_{s-1}.  Nothing is kept between calls, so ask once for the
-    largest s you need.  The closed form builds each c_s on its own from the
-    process-wide Bernoulli memo, which it reads and fills.  A method that is
-    not a :class:`Method` member, such as its CLI spelling, raises TypeError.
+    c_1 .. c_{s-1}.  The closed form builds each c_s on its own from one
+    fill of B_0 .. B_{2 s_max}.  Nothing is kept between calls, so ask once
+    for the largest s you need.  A method that is not a :class:`Method`
+    member, such as its CLI spelling, raises TypeError.
     """
     if not isinstance(method, Method):
         members = ", ".join(map(str, Method))
@@ -232,11 +241,7 @@ def euler_zeta_coefficients(s_max: int, method: Method = Method.NEW_THEOREM) -> 
     if s_max < 1:
         raise ValueError("s_max must be >= 1")
     if method is Method.CLOSED_FORM:
-        # zeta_E(2s) = (1 - 2**(1-2s)) zeta(2s), the eta/zeta relation.
-        return [
-            (1 - Fraction(1, 2 ** (2 * s - 1))) * zeta_even_closed_form(s)
-            for s in range(1, s_max + 1)
-        ]
+        return _eta_table(zeta_even_closed_form(bernoulli(2 * s_max)))
     table: list[Fraction] = []
     numerators: list[int] = []  # c_k = numerators[k-1] / common
     common = 1
@@ -276,12 +281,12 @@ _EM_TERMS = 60
 
 
 def _euler_maclaurin(
-    e: int, a: int, ulp: Fraction
+    e: int, a: int, ulp: Fraction, bern: list[Fraction]
 ) -> tuple[list[tuple[Fraction, int]], Fraction]:
     # The correction terms of sum_{a <= n <= m} n**-e, as pairs (c, power)
     # whose term is c (a**-power - m**-power) at every m >= a, and a bound on
-    # the remainder: twice the first term left out, at m = infinity.
-    bern = bernoulli_akiyama_tanigawa(2 * _EM_TERMS + 2)
+    # the remainder: twice the first term left out, at m = infinity; bern
+    # holds B_0 .. B_{2 _EM_TERMS + 2}.
     corrections = []
     rising, factorial, previous = e, 2, math.inf  # e (e+1) ... (e+2k-2), (2k)!
     for k in range(1, _EM_TERMS + 2):
@@ -317,9 +322,11 @@ def _series_tails(
     # doubles from _SERIES_HEAD until that bound is at most ulp; once it
     # reaches terms, there is nothing past it.
     head = _SERIES_HEAD
+    # One Bernoulli list serves every head tried; a sum taken whole needs none.
+    bern = bernoulli_akiyama_tanigawa(2 * _EM_TERMS + 2) if head < terms else []
     while head < terms:
         a = head + 1
-        corrections, remainder = _euler_maclaurin(e, a, ulp)
+        corrections, remainder = _euler_maclaurin(e, a, ulp, bern)
         if remainder <= ulp:
             past = _power_sum(e, a, terms, corrections)
             return head, past, _power_sum(e, a, terms // 2, corrections), remainder
@@ -365,10 +372,11 @@ def euler_zeta_series(s: int, terms: int) -> DecimalApprox:
     (I + 1) 10**-work + 2 r of the value.  The bound adds that to the tail,
     so it stays within (head + 3) 10**-work of the tail.
 
-    The Bernoulli numbers come from the Akiyama-Tanigawa triangle, never
-    from :func:`~euler_zeta.exactmath.bernoulli`, the route whose closed
-    forms the ``series-enclosure`` suite of ``verify`` checks against this
-    sum; the series reads no pi, no recurrence and no memo.
+    The Bernoulli numbers come from the Akiyama-Tanigawa triangle, filled
+    once per call and only when the head is short of ``terms``, never from
+    :func:`~euler_zeta.exactmath.bernoulli`, the route whose closed forms
+    the ``series-enclosure`` suite of ``verify`` checks against this sum;
+    the series reads no pi and no recurrence.
     """
     if s < 1:
         raise ValueError("s must be >= 1")

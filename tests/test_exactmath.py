@@ -63,10 +63,36 @@ class TestRationalContract:
 
 class TestBernoulli:
     def test_known_values(self):
-        assert bernoulli(0) == 1
-        assert bernoulli(1) == Fraction(-1, 2)
-        assert bernoulli(2) == Fraction(1, 6)
-        assert bernoulli(12) == Fraction(-691, 2730)
+        assert bernoulli(0) == [1]
+        assert bernoulli(2) == [1, Fraction(-1, 2), Fraction(1, 6)]
+        assert bernoulli(12)[12] == Fraction(-691, 2730)
+
+    def test_list_belongs_to_the_caller(self):
+        first = bernoulli(12)
+        first[12] = Fraction(0)
+        first.append(Fraction(1))
+        assert bernoulli(12)[12] == Fraction(-691, 2730)
+        assert len(bernoulli(12)) == 13
+
+    def test_not_serialised_behind_a_long_computation(self):
+        # The fill holds no shared state, so a short request does not wait
+        # for a long one (B_0 .. B_600) running in another thread.
+        started = threading.Event()
+
+        def long_computation():
+            started.set()
+            bernoulli(600)
+
+        worker = threading.Thread(target=long_computation, daemon=True)
+        worker.start()
+        assert started.wait(timeout=5)
+        begin = time.perf_counter()
+        short = bernoulli(20)
+        elapsed = time.perf_counter() - begin
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert short[20] == Fraction(-174611, 330)
+        assert elapsed < 0.1
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -82,8 +108,8 @@ class TestBernoulli:
     def test_main_route_matches_mpmath_to_400(self):
         # The s <= 200 tables read every B_n up to n = 400.
         mpmath = pytest.importorskip("mpmath")
-        for n in range(401):
-            assert bernoulli(n) == Fraction(*mpmath.bernfrac(n)), n
+        for n, b in enumerate(bernoulli(400)):
+            assert b == Fraction(*mpmath.bernfrac(n)), n
 
 
 class TestPiDecimal:

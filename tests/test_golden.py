@@ -14,7 +14,9 @@ The golden files hold stdout of:
 * plain ``identities --m M --x X`` for M = 1..8 and X = 0, 1, 2, M outer,
   concatenated (``golden/identities_m1-8.txt``);
 * ``verify --s-max 4`` (``golden/verify_s4.txt``, compared in
-  ``test_cli.py::TestVerify``).
+  ``test_cli.py::TestVerify``);
+* ``verify --s-max 64`` (``golden/verify_s64.txt``), the size the CI
+  smoke run and the ``verify`` benchmark workload use.
 
 A refactoring that keeps behaviour must leave them unchanged.
 """
@@ -85,3 +87,7 @@ def test_identities_for_m_up_to_8():
         )
     )
     _assert_matches(out, "identities_m1-8.txt")
+
+
+def test_verify_to_s64():
+    _assert_matches(_stdout(["verify", "--s-max", "64"]), "verify_s64.txt")

@@ -3,7 +3,9 @@
 The acceptance criteria run the `verify` suites, so a suite that could
 never fail would hide a broken route.  Each case replaces one name that
 `euler_zeta.verify` imports with a wrong version (`plant(original)`) and
-runs `run_all(4)`: exactly the suite the case names must fail.
+runs `run_all(4)`: exactly the suite the case names must fail.  `run_all`
+fills the Bernoulli numbers once; the oracle checks that list and the
+closed forms are built from it, which two tests pin.
 
 `run_all` runs every suite in the calling process, in the printed order;
 the last tests check that it forks no process and loads no process pool.
@@ -16,7 +18,7 @@ from decimal import Decimal
 
 import pytest
 
-from euler_zeta import verify
+from euler_zeta import exactmath, verify, zeta
 from euler_zeta.exactmath import DecimalApprox
 from euler_zeta.zeta import Method
 
@@ -105,10 +107,12 @@ CASES = {
         "_expansion_weights",
         lambda f: lambda m: [w + ((m, k) == (3, 2)) for k, w in enumerate(f(m), 1)],
     ),
+    # B_10 one too large in the one fill: at s_max = 4 no closed form reads
+    # past B_8, so only the oracle sees it.
     "bernoulli-oracle": (
         "bernoulli-oracle",
         "bernoulli",
-        lambda f: lambda n: f(n) + (n == 10),
+        lambda f: lambda n: [b + (k == 10) for k, b in enumerate(f(n))],
     ),
     "fourier-quadrature": (
         "fourier-quadrature",
@@ -143,6 +147,32 @@ def test_planted_defect_fails_only_its_suite(monkeypatch, case):
     results = verify.run_all(4)
     assert {result.name for result in results} == {s for s, _, _ in CASES.values()}
     assert [result.name for result in results if not result.passed] == [suite]
+
+
+def test_oracle_checks_the_list_the_closed_forms_are_built_from(monkeypatch):
+    # B_4 one too large in the one fill: c_2 is wrong in every closed form,
+    # so the recurrences disagree with them, and the oracle sees it too.
+    fill = verify.bernoulli
+    monkeypatch.setattr(
+        verify, "bernoulli", lambda n: [b + (k == 4) for k, b in enumerate(fill(n))]
+    )
+    failed = {result.name for result in verify.run_all(4) if not result.passed}
+    assert {"bernoulli-oracle", "method-agreement"} <= failed
+
+
+def test_one_bernoulli_fill_per_run(monkeypatch):
+    # run_all(64) fills B_0 .. B_128 once; the only other fills are the
+    # series-enclosure suite's closed forms for s <= 3, through B_6.
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return exactmath.bernoulli(n)
+
+    monkeypatch.setattr(verify, "bernoulli", counted)
+    monkeypatch.setattr(zeta, "bernoulli", counted)
+    assert all(result.passed for result in verify.run_all(64))
+    assert [n for n in calls if n > 6] == [128]
 
 
 def test_runs_every_suite_in_process_in_the_printed_order(monkeypatch):

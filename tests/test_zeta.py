@@ -63,9 +63,10 @@ def _series_work(s, terms):
 
 class TestClosedForms:
     def test_ordinary_zeta_coefficients(self):
-        assert zeta_even_closed_form(1) == Fraction(1, 6)
-        assert zeta_even_closed_form(2) == Fraction(1, 90)
-        assert zeta_even_closed_form(3) == Fraction(1, 945)
+        expected = [Fraction(1, 6), Fraction(1, 90), Fraction(1, 945)]
+        assert zeta_even_closed_form(exactmath.bernoulli(6)) == expected
+        # B_7 adds no even index.
+        assert zeta_even_closed_form(exactmath.bernoulli(7)) == expected
 
     def test_euler_zeta_coefficients(self):
         assert euler_zeta(1, Method.CLOSED_FORM).coeff == Fraction(1, 12)
@@ -74,10 +75,23 @@ class TestClosedForms:
         assert euler_zeta(4, Method.CLOSED_FORM).coeff == Fraction(127, 1209600)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            zeta_even_closed_form(0)
+        assert zeta_even_closed_form(exactmath.bernoulli(1)) == []
         with pytest.raises(ValueError):
             euler_zeta(0, Method.CLOSED_FORM)
+
+    def test_table_fills_the_bernoulli_numbers_once(self, monkeypatch):
+        calls = []
+
+        def bernoulli(n):
+            calls.append(n)
+            return exactmath.bernoulli(n)
+
+        monkeypatch.setattr(zeta, "bernoulli", bernoulli)
+        table = euler_zeta_coefficients(24, Method.CLOSED_FORM)
+        assert calls == [48]
+        assert table[:4] == [
+            Fraction(1, 12), Fraction(7, 720), Fraction(31, 30240), Fraction(127, 1209600)
+        ]
 
 
 class TestRecurrences:
@@ -329,10 +343,11 @@ class TestSeries:
         # Over 50 (head, last) pairs per s, the exact power sum past the
         # head lies within the remainder bound of its Euler-Maclaurin sum,
         # however many correction terms the ulp of that size allows.
+        bern = exactmath.bernoulli_akiyama_tanigawa(2 * zeta._EM_TERMS + 2)
         for head in (1, 2, 5, 20, 1000):
             for last in SERIES_GRID:
                 ulp = Fraction(1, 10 ** _series_work(s, last))
-                corrections, remainder = zeta._euler_maclaurin(2 * s, head + 1, ulp)
+                corrections, remainder = zeta._euler_maclaurin(2 * s, head + 1, ulp, bern)
                 exact = sum(Fraction(1, n ** (2 * s)) for n in range(head + 1, last + 1))
                 tail = zeta._power_sum(2 * s, head + 1, last, corrections)
                 assert abs(tail - exact) <= remainder, (head, last)
@@ -374,9 +389,25 @@ class TestSeries:
         assert Fraction(approx.abs_error_bound) <= Fraction(101, 10**26)
         assert approx.contains(PI2_OVER_12)
 
+    def test_one_akiyama_tanigawa_fill_per_call(self, monkeypatch):
+        # At s = 100 the head doubles, and every head tried reads the same
+        # list; a sum taken whole needs none.
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return exactmath.bernoulli_akiyama_tanigawa(n)
+
+        monkeypatch.setattr(zeta, "bernoulli_akiyama_tanigawa", counted)
+        euler_zeta_series(100, 10**4)
+        assert calls == [2 * zeta._EM_TERMS + 2]
+        euler_zeta_series(3, zeta._SERIES_HEAD)
+        assert len(calls) == 1
+
     def test_never_reads_the_bernoulli_memo(self, monkeypatch):
         # The tail's Bernoulli numbers come from the Akiyama-Tanigawa
-        # triangle, so the series stays independent of the closed forms.
+        # triangle, never from the fill the closed forms are built from, so
+        # the series stays independent of them.
         def bernoulli(n):
             raise AssertionError(f"bernoulli({n}) read by the series")
 

@@ -1,6 +1,6 @@
 """Mutation check: every listed one-line fault must fail the tier-1 tests.
 
-Usage, from the repository root (about 120 s on two cores):
+Usage, from the repository root (about 150 s on two cores):
 
     python tools/mutants.py
 
@@ -43,8 +43,16 @@ MUTANTS = [
     Mutant(
         "Bernoulli fill binomial one row low",
         "src/euler_zeta/exactmath.py",
-        "                acc += math.comb(m + 1, k) * _bernoulli_cache[k]\n",
-        "                acc += math.comb(m, k) * _bernoulli_cache[k]\n",
+        "            acc += math.comb(m + 1, k) * out[k]\n",
+        "            acc += math.comb(m, k) * out[k]\n",
+    ),
+    # verify's one fill: the closed forms its suites read must be built from
+    # the list the bernoulli-oracle suite checks, not from another route.
+    Mutant(
+        "verify closed forms built from a list the oracle never checks",
+        "src/euler_zeta/verify.py",
+        "    zetas = zeta_even_closed_form(bern)[:s_max]\n",
+        "    zetas = zeta_even_closed_form(bernoulli_akiyama_tanigawa(2 * s_max))[:s_max]\n",
     ),
     # The outward rounding of the enclosure arithmetic.
     Mutant(
@@ -211,8 +219,8 @@ MUTANTS = [
     Mutant(
         "x = 2 right side unchecked",
         "src/euler_zeta/verify.py",
-        "    ok = _relations_hold(s_max, 2, table, lambda s: Fraction(s, 2 * s + 1))\n",
-        "    ok = _relations_hold(s_max, 2, table, lambda s: relation_at(s, 2).rhs)\n",
+        "    ok = _relations_hold(2, zetas, lambda s: Fraction(s, 2 * s + 1))\n",
+        "    ok = _relations_hold(2, zetas, lambda s: relation_at(s, 2).rhs)\n",
     ),
     # The triangular solve's elimination step: v_i = -residual / pivot with
     # v_i set to 0 in the residual.
