@@ -9,9 +9,12 @@ as an outward-rounded integer pair in units of 10**-work, and one precision
 loop (`_enclose`) turns the pair into the value correctly rounded to the
 requested places, with bound one unit in the last place.  Every sum of
 rational multiples of powers of pi, a `PiPolynomial` or the Fourier partial
-sums, goes through one evaluator (`_enclose_sum`).  No pair leaves this
-module: every other module reads an enclosure through
-`DecimalApprox.bounds()`.
+sums, goes through one evaluator (`_enclose_sum`).  It takes its terms in
+groups that share a power of pi and a numerator, num * pi**(2k) / d over the
+denominators d of one group, and `_scale_by` rounds each group outward in
+one floor pass per end: a `PiPolynomial` is one-term groups, a partial sum
+one group per power of pi and sign.  No pair leaves this module: every
+other module reads an enclosure through `DecimalApprox.bounds()`.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from itertools import repeat
 
 __all__ = [
     "PiPolynomial",
@@ -206,11 +210,14 @@ def _collect(
 ) -> tuple[tuple[int, Fraction], ...]:
     # The (index, coefficient) pairs sorted by index, the coefficients of a
     # repeated index summed and zero sums dropped; operator.index rejects an
-    # index such as 1.5 instead of truncating it.
+    # index such as 1.5 instead of truncating it.  A coefficient that is
+    # already a Fraction is kept as it is, not wrapped anew.
     acc: dict[int, Fraction] = {}
     items = terms.items() if isinstance(terms, Mapping) else terms
     for k, c in items:
-        k, c = operator.index(k), Fraction(c)
+        k = operator.index(k)
+        if type(c) is not Fraction:
+            c = Fraction(c)
         acc[k] = acc[k] + c if k in acc else c
     return tuple(sorted((k, c) for k, c in acc.items() if c))
 
@@ -258,10 +265,13 @@ def _mul(a: tuple[int, int], b: tuple[int, int], scale: int) -> tuple[int, int]:
     return min(products) // scale, _ceil_div(max(products), scale)
 
 
-def _scale_by(num: int, den: int, x: tuple[int, int]) -> tuple[int, int]:
-    # (num / den) * x for den > 0; a negative num swaps the endpoints.
+def _scale_by(num: int, dens: Sequence[int], x: tuple[int, int]) -> tuple[int, int]:
+    # sum over the d > 0 in dens of (num / d) * x, each term rounded outward:
+    # its lower end floored, its upper end ceiled as minus the floor of its
+    # negation.  One map pass per end; a negative num swaps the endpoints.
     lo, hi = x if num >= 0 else (x[1], x[0])
-    return num * lo // den, _ceil_div(num * hi, den)
+    below, above = repeat(num * lo), repeat(-num * hi)
+    return sum(map(operator.floordiv, below, dens)), -sum(map(operator.floordiv, above, dens))
 
 
 def _pi_sq_power(k: int, work: int, pi_sq: tuple[int, int]) -> tuple[int, int]:
@@ -327,17 +337,15 @@ def _enclose(evaluate: Callable[[int], tuple[int, int]], digits: int) -> Decimal
     return DecimalApprox(_decimal_from_scaled(nearest, digits), _decimal_from_scaled(1, digits))
 
 
-def _enclose_sum(
-    terms: Callable[[], Iterable[tuple[int, int, int]]], digits: int
-) -> DecimalApprox:
-    """sum num / den * pi**(2k) over the triples (k, num, den) of `terms()`.
+def _enclose_sum(groups: Sequence[tuple[int, int, Sequence[int]]], digits: int) -> DecimalApprox:
+    """sum num * pi**(2k) / d over the groups (k, num, dens) and the d of dens.
 
-    The one evaluator of sums of powers of pi; den > 0, and the same k may
-    recur.  Each pass of :func:`_enclose` calls `terms()` afresh, encloses
-    pi and pi**2 once, each distinct pi**(2k) once by :func:`_pi_sq_power`,
-    and adds up the outward-rounded products.  A term negated through its
-    num gives the pair (-hi, -lo) of the term itself, so folding a sign into
-    num is exactly subtracting the term.
+    The one evaluator of sums of powers of pi; every d > 0, and the same k
+    may recur.  Each pass of :func:`_enclose` encloses pi and pi**2 once,
+    each distinct pi**(2k) once by :func:`_pi_sq_power`, and adds up each
+    group's outward-rounded terms by :func:`_scale_by`, one floor pass per
+    end.  A group negated through its num gives the pair (-hi, -lo) of the
+    group itself, so folding a sign into num is exactly subtracting it.
     """
 
     def evaluate(work: int) -> tuple[int, int]:
@@ -345,13 +353,13 @@ def _enclose_sum(
         pi_sq = _mul(pi, pi, 10**work)
         powers: dict[int, tuple[int, int]] = {}
         lo = hi = 0
-        for k, num, den in terms():
+        for k, num, dens in groups:
             power = powers.get(k)
             if power is None:
                 power = powers[k] = _pi_sq_power(k, work, pi_sq)
-            t_lo, t_hi = _scale_by(num, den, power)
-            lo += t_lo
-            hi += t_hi
+            g_lo, g_hi = _scale_by(num, dens, power)
+            lo += g_lo
+            hi += g_hi
         return lo, hi
 
     return _enclose(evaluate, digits)
@@ -369,6 +377,4 @@ def eval_pi_polynomial(p: PiPolynomial, digits: int) -> DecimalApprox:
         raise ValueError("digits must be >= 1")
     if not p:
         return DecimalApprox(Decimal(0), Decimal(0))
-    return _enclose_sum(
-        lambda: ((k, c.numerator, c.denominator) for k, c in p), digits
-    )
+    return _enclose_sum([(k, c.numerator, (c.denominator,)) for k, c in p], digits)

@@ -3,9 +3,10 @@
 The exact route writes each cosine coefficient a_n as a polynomial in
 pi**-2 with rational coefficients, stated once in `_coefficient_terms`; the
 numeric routes (composite Boole quadrature with a proven a priori bound,
-enclosed partial sums) exist to validate it.  A partial sum hands a_n's
-terms, signed by their cosines, to `exactmath`'s one evaluator of sums of
-powers of pi, the one `eval_pi_polynomial` uses.
+enclosed partial sums) exist to validate it.  A partial sum hands the terms
+of its a_n, grouped by power of pi and by the sign of their cosine, to
+`exactmath`'s one evaluator of sums of powers of pi, the one
+`eval_pi_polynomial` uses.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
-from itertools import count
+from itertools import count, repeat
 from operator import mul
 
 from .exactmath import (
@@ -81,19 +82,24 @@ def fourier_coefficient(m: int, n: int) -> PiPolynomial:
         raise ValueError("m must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    terms = _coefficient_terms(_expansion_weights(m), n)
-    return PiPolynomial((k, Fraction(num, den)) for k, num, den in terms)
+    terms = _coefficient_terms(_expansion_weights(m), [n])
+    return PiPolynomial((k, Fraction(num, den)) for k, num, (den,) in terms)
 
 
-def _coefficient_terms(row: list[int], n: int) -> Iterator[tuple[int, int, int]]:
-    # (k, numerator, denominator) of a_n's pi**(2k) terms, k = -1..-m,
-    # unreduced, from the row _expansion_weights(m): the one statement of
-    # a_n's scale 2**(2m+1), its sign (-1)**n and its denominators n**(2k).
-    scale = 2 ** (2 * len(row) + 1) * (-1 if n % 2 else 1)
-    n2 = den = n * n
-    for k, weight in enumerate(row, start=1):
-        yield -k, weight * scale, den
-        den *= n2
+def _coefficient_terms(row: list[int], ns: list[int]) -> Iterator[tuple[int, int, list[int]]]:
+    # The pi**(2k) terms, k = -1..-m, of the sum of a_n over n in ns, from the
+    # row _expansion_weights(m), as groups (k, numerator, denominators): one
+    # group per k and parity of n.  The one statement of a_n's scale
+    # 2**(2m+1), its sign (-1)**n and its denominators n**(2k).
+    scale = 2 ** (2 * len(row) + 1)
+    for sign, part in ((1, [n for n in ns if n % 2 == 0]), (-1, [n for n in ns if n % 2])):
+        if not part:
+            continue
+        squares = [n * n for n in part]
+        dens = [1] * len(part)
+        for k, weight in enumerate(row, start=1):
+            dens = list(map(mul, dens, squares))
+            yield -k, sign * weight * scale, dens
 
 
 def _cosines(n: int, panels: int, work: int) -> list[int]:
@@ -190,7 +196,7 @@ def fourier_coefficient_numeric(
     # node at 0 contributes f(0) = 0.  Boole's weights there are 7 on the
     # first node, 32 on odd ones, 12 and 14 alternately on the other even ones.
     cosines = _cosines(n, panels, work)[: panels // 2]
-    g = [(2 * panels - 4 * j) ** p * c for j, c in enumerate(cosines)]
+    g = list(map(mul, map(pow, range(2 * panels, 0, -4), repeat(p)), cosines))
     groups = (g[:1], g[1::2], g[2::4], g[4::4])
     total = sum(w * sum(s) for w, s in zip((7, 32, 12, 14), groups))
     value = Fraction((-1) ** n * 8 * total * 10**quant, 45 * panels ** (p + 1) * 10**work)
@@ -216,17 +222,17 @@ def partial_sum(
     if xq.denominator != 1 or abs(xq) > 2:
         raise ValueError("x must be an integer in [-2, 2]")
     xi = xq.numerator
+    by_cosine: dict[int, list[int]] = {1: [], -1: []}
+    for r in range(1, 5):
+        # cos(n pi x / 2) is 0 for odd n x, else (-1)**(n x / 2); it depends
+        # on n x mod 4 only, so it is the same for every n = r mod 4.
+        nx = r * xi
+        if nx % 2:
+            continue
+        cos = -1 if nx % 4 else 1
+        by_cosine[cos] += range(r, N + 1, 4)
     row = _expansion_weights(m)
-
-    def terms() -> Iterator[tuple[int, int, int]]:
-        yield 0, 4**m, 2 * m + 1
-        for n in range(1, N + 1):
-            # cos(n pi x / 2) is 0 for odd n x, else (-1)**(n x / 2).
-            nx = n * xi
-            if nx % 2:
-                continue
-            cos = -1 if nx % 4 else 1
-            for k, num, den in _coefficient_terms(row, n):
-                yield k, cos * num, den
-
-    return _enclose_sum(terms, digits)
+    groups = [(0, 4**m, (2 * m + 1,))]
+    for cos, ns in by_cosine.items():
+        groups += ((k, cos * num, dens) for k, num, dens in _coefficient_terms(row, ns))
+    return _enclose_sum(groups, digits)

@@ -118,6 +118,13 @@ _SUBSTITUTIONS = {
 }
 
 
+def _over_four_to(w: int, k: int) -> Fraction:
+    # w / 4**k for w != 0, with the power of two the two share,
+    # min(v_2(w), 2k), shifted out before the Fraction reduces what is left.
+    shift = min((w & -w).bit_length() - 1, 2 * k)
+    return Fraction(w >> shift, 1 << 2 * k - shift)
+
+
 def relation_at(m: int, x: int) -> LinearRelation:
     """The exact relation from substituting x into the expansion of t**(2m).
 
@@ -138,7 +145,7 @@ def relation_at(m: int, x: int) -> LinearRelation:
         raise ValueError("x must be 0, 1, or 2")
     family, sigma, quarter = _SUBSTITUTIONS[x]
     coeffs = (
-        (k, Fraction(sigma * w, 4**k) if quarter else sigma * w)
+        (k, _over_four_to(sigma * w, k) if quarter else sigma * w)
         for k, w in enumerate(_expansion_weights(m), start=1)
     )
     rhs = Fraction((2 * m + 1) * x ** (2 * m) - 4**m, (2 * m + 1) * 2 ** (2 * m + 1))

@@ -37,6 +37,17 @@ nonzero pivot, a triangular system with nonzero pivots has exactly one
 solution, and so its forward solve equals a table exactly when every
 relation balances that table.
 
+``_relations_hold`` balances each relation in integers: it scales the
+table once to numerators over one common denominator and sums each left
+side with ``fourier._expansion_sum``, the Horner kernel every recurrence
+step reads.  From ``relation_at`` it takes the order, the right side and
+the first coefficient, and it pins each further coefficient to that
+kernel's weights through their ratio, so the relation it balances is the
+one ``relation_at`` states.  The sweep thus shares ``_expansion_sum`` with
+the recurrences; the closed form stays the independent side of both
+checks: ``method-agreement`` compares every recurrence with it, and the
+relation suites balance it.
+
 Criterion 5 pins the expansion's weight rows, which share their
 ratios with the Horner sum that every recurrence step reads in place of a
 row, to the paper's printed factorial forms for 1 <= k <= s: the
@@ -64,6 +75,7 @@ from collections import namedtuple
 from collections.abc import Callable
 from decimal import Decimal
 from fractions import Fraction
+from operator import mul, ne, neg
 
 from .exactmath import (
     PiPolynomial,
@@ -73,6 +85,8 @@ from .exactmath import (
     pi_decimal,
 )
 from .fourier import (
+    _expansion_ratios,
+    _expansion_sum,
     _expansion_weights,
     fourier_coefficient,
     fourier_coefficient_numeric,
@@ -149,11 +163,42 @@ def _relations_hold(x: int, table: list[Fraction], rhs: Callable[[int], Fraction
     # forward solve equals `table`".  A relation scaled by a constant
     # balances and solves alike, so each must also have the printed right
     # side rhs(m).
+    #
+    # The balance is summed in integers.  The table is scaled once to
+    # numerators e_k over one common denominator L, and each left side is
+    # the recurrences' Horner sum _expansion_sum(m, .) over them, which
+    # weighs e_k by w_k(m), 2m times the product of -r_j over j < k.  So the
+    # relation's coefficients q_k are pinned to those weights: t_k = q_k,
+    # or q_k 4**k at x = 1, must be integers with t_(k+1) = -r_k t_k.  Then
+    # sum_k q_k v_k is t_1 / 2m times the Horner sum over L, the x = 1
+    # values taken as e_k 4**(m-k) and the sum divided by a further 4**m.
+    common = math.lcm(*(v.denominator for v in table))
+    numerators = [v.numerator * (common // v.denominator) for v in table]
+    quarter = x == 1
     for m in range(1, len(table) + 1):
         relation = relation_at(m, x)
-        if relation.order != m:
+        if relation.order != m or len(relation.pairs) != m:
             return False
-        if relation.residual(table) != 0 or relation.rhs != rhs(m):
+        if relation.rhs != rhs(m):
+            return False
+        weights = []
+        for k, q in relation.pairs:
+            # t_k is an integer iff q_k's reduced denominator is 1, or at
+            # x = 1 a power of two dividing 4**k.
+            den = q.denominator
+            shift = (2 * k if quarter else 0) - den.bit_length() + 1
+            if den & (den - 1) or shift < 0:
+                return False
+            weights.append(q.numerator << shift)
+        steps = map(mul, weights, map(neg, _expansion_ratios(m)))
+        if any(map(ne, steps, weights[1:])):
+            return False
+        if quarter:
+            values = [e << 2 * (m - k) for k, e in enumerate(numerators[:m], start=1)]
+        else:
+            values = numerators[:m]
+        scale = 2 * m * common << (2 * m if quarter else 0)
+        if weights[0] * _expansion_sum(m, values) != relation.rhs * scale:
             return False
     return True
 

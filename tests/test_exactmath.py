@@ -220,12 +220,18 @@ class TestOutwardRounding:
     # Exactly the floor of the true lower end and the ceiling of the true
     # upper end: one unit of inward rounding fails here, with no slack.
     def test_scale_by(self):
+        # A group's ends are the sums of its terms' floors and ceilings: each
+        # term is rounded on its own.
         for num in range(-7, 8):
-            for den in range(1, 8):
-                for lo, hi in SMALL_PAIRS:
+            for lo, hi in SMALL_PAIRS:
+                terms = []
+                for den in range(1, 8):
                     ends = Fraction(num * lo, den), Fraction(num * hi, den)
                     expected = math.floor(min(ends)), math.ceil(max(ends))
-                    assert _scale_by(num, den, (lo, hi)) == expected
+                    assert _scale_by(num, (den,), (lo, hi)) == expected
+                    terms.append(expected)
+                group = tuple(map(sum, zip(*terms)))
+                assert _scale_by(num, range(1, 8), (lo, hi)) == group
 
     def test_mul(self):
         for scale in range(1, 8):

@@ -45,14 +45,14 @@ def _reference_partial_sum(m, x, N, digits):
         pi = _pi_interval(work)
         pi_sq = _mul(pi, pi, scale)
         powers = [_pi_sq_power(-k, work, pi_sq) for k in range(1, m + 1)]
-        lo, hi = _scale_by(4**m, 2 * m + 1, (scale, scale))
+        lo, hi = _scale_by(4**m, (2 * m + 1,), (scale, scale))
         for n in range(1, N + 1):
             cos = (1, 0, -1, 0)[n * x % 4]  # cos(n pi x / 2) for integer x
             if cos == 0:
                 continue
             a_lo = a_hi = 0
-            for k, num, den in _coefficient_terms(_expansion_weights(m), n):
-                t_lo, t_hi = _scale_by(num, den, powers[-k - 1])
+            for k, num, dens in _coefficient_terms(_expansion_weights(m), [n]):
+                t_lo, t_hi = _scale_by(num, dens, powers[-k - 1])
                 a_lo += t_lo
                 a_hi += t_hi
             if cos == 1:
@@ -264,7 +264,7 @@ class TestPartialSum:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_equals_per_n_reference_loop(self, m, x):
         for N in (1, 7, 100, 1000):
-            for digits in (8, 12, 20):
+            for digits in (5, 8, 12, 20, 30):
                 expected = _reference_partial_sum(m, x, N, digits)
                 assert partial_sum(m, x, N, digits) == expected
 

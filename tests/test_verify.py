@@ -20,6 +20,7 @@ import pytest
 
 from euler_zeta import exactmath, verify, zeta
 from euler_zeta.exactmath import DecimalApprox
+from euler_zeta.relations import relation_at
 from euler_zeta.zeta import Method
 
 
@@ -45,15 +46,22 @@ def _doubled_at(where):
     return lambda f: lambda m, x: _scaled(f(m, x), 2) if (m, x) == where else f(m, x)
 
 
+def _one_coefficient_changed_at(where):
+    # q_2 one larger: one coefficient changed, not the whole relation
+    # rescaled, so the relation no longer balances the closed forms.
+    def changed(rel):
+        return rel._replace(pairs=[(k, q + (k == 2)) for k, q in rel.pairs])
+
+    return lambda f: lambda m, x: changed(f(m, x)) if (m, x) == where else f(m, x)
+
+
 def _no_new_unknown_at_3(f):
-    # relation_at(3, 0) replaced by relation_at(2, 0) scaled to the right
-    # side of relation 3: it balances the closed forms and has the printed
-    # right side, but it introduces no unknown v_3.
+    # relation_at(3, 0) without its v_3 term: every other coefficient and
+    # the right side are relation 3's, so the sweep's Horner sum over the
+    # weights of m = 3 balances it, but it introduces no unknown v_3.
     def planted(m, x):
-        if (m, x) != (3, 0):
-            return f(m, x)
-        previous = f(2, 0)
-        return _scaled(previous, f(3, 0).rhs / previous.rhs)
+        rel = f(m, x)
+        return rel._replace(pairs=rel.pairs[:-1]) if (m, x) == (3, 0) else rel
 
     return planted
 
@@ -101,6 +109,9 @@ CASES = {
     "sum-identity-x1": ("sum-identity-x1", "relation_at", _doubled_at((3, 1))),
     "sum-identity-x2": ("sum-identity-x2", "relation_at", _doubled_at((3, 2))),
     "no-new-unknown": ("sum-identity-x0", "relation_at", _no_new_unknown_at_3),
+    "coefficient-x0": ("sum-identity-x0", "relation_at", _one_coefficient_changed_at((3, 0))),
+    "coefficient-x1": ("sum-identity-x1", "relation_at", _one_coefficient_changed_at((3, 1))),
+    "coefficient-x2": ("sum-identity-x2", "relation_at", _one_coefficient_changed_at((3, 2))),
     # w_2(3) one too large.
     "perm-diff": (
         "perm-diff",
@@ -147,6 +158,27 @@ def test_planted_defect_fails_only_its_suite(monkeypatch, case):
     results = verify.run_all(4)
     assert {result.name for result in results} == {s for s, _, _ in CASES.values()}
     assert [result.name for result in results if not result.passed] == [suite]
+
+
+@pytest.mark.parametrize("x", [0, 1, 2])
+def test_relation_sweep_agrees_with_the_residuals(x):
+    # The integer sweep against LinearRelation.residual, relation by
+    # relation, on the true table and on tables with one entry c_k changed,
+    # by one unit or by one part in 2**64.
+    zetas = zeta.zeta_even_closed_form(exactmath.bernoulli(24))
+    true = zetas if x == 2 else zeta._eta_table(zetas)
+    tables = [true]
+    for k in range(len(true)):
+        for change in (1, true[k] / 2**64):
+            tables.append([c + change * (i == k) for i, c in enumerate(true)])
+
+    def rhs(m):
+        return relation_at(m, x).rhs
+
+    for table in tables:
+        residuals = [relation_at(m, x).residual(table) for m in range(1, len(table) + 1)]
+        assert verify._relations_hold(x, table, rhs) == (not any(residuals))
+    assert verify._relations_hold(x, true, rhs)
 
 
 def test_oracle_checks_the_list_the_closed_forms_are_built_from(monkeypatch):

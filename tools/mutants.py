@@ -54,8 +54,8 @@ MUTANTS = [
     Mutant(
         "scale_by upper end floored",
         "src/euler_zeta/exactmath.py",
-        "    return num * lo // den, _ceil_div(num * hi, den)\n",
-        "    return num * lo // den, num * hi // den\n",
+        "    return sum(map(operator.floordiv, below, dens)), -sum(map(operator.floordiv, above, dens))\n",
+        "    return sum(map(operator.floordiv, below, dens)), sum(map(operator.floordiv, repeat(num * hi), dens))\n",
     ),
     Mutant(
         "mul upper end floored",
@@ -130,8 +130,8 @@ MUTANTS = [
     Mutant(
         "partial sum cosine sign dropped",
         "src/euler_zeta/fourier.py",
-        "            cos = -1 if nx % 4 else 1\n",
-        "            cos = 1\n",
+        "        cos = -1 if nx % 4 else 1\n",
+        "        cos = 1\n",
     ),
     # The overlap tests of the verify suites that compare two enclosures:
     # with `and`, only enclosures apart on both sides would fail, which
@@ -218,13 +218,26 @@ MUTANTS = [
         "    bound = Fraction(1, tail_den) + Fraction(inexact, scale)\n",
     ),
     # The relation check behind criteria 3, 4 and 9: each relation m must
-    # introduce the unknown m, and the x = 2 relations must have the printed
+    # introduce the unknown m, its coefficients must be the weights the
+    # Horner sum balances, and the x = 2 relations must have the printed
     # right side s/(2s+1).
     Mutant(
         "relation order check dropped",
         "src/euler_zeta/verify.py",
-        "        if relation.order != m:\n",
+        "        if relation.order != m or len(relation.pairs) != m:\n",
         "        if False:\n",
+    ),
+    Mutant(
+        "relation coefficient pin dropped",
+        "src/euler_zeta/verify.py",
+        "        if any(map(ne, steps, weights[1:])):\n",
+        "        if False:\n",
+    ),
+    Mutant(
+        "one relation coefficient off",
+        "src/euler_zeta/relations.py",
+        "        (k, _over_four_to(sigma * w, k) if quarter else sigma * w)\n",
+        "        (k, _over_four_to(sigma * w, k) if quarter else sigma * w + (k == m))\n",
     ),
     Mutant(
         "x = 2 right side unchecked",
